@@ -9,17 +9,11 @@ taken over several seeded restarts.
 
 from __future__ import annotations
 
-import itertools
 import random
 
-from plspines.core import Complex, Face
+from plspines.core import Complex, Face, proper_subfaces
 
 DEFAULT_RESTARTS = 32
-
-
-def _proper_subfaces(face: Face):
-    for r in range(1, len(face)):
-        yield from itertools.combinations(face, r)
 
 
 def greedy_collapse(cx: Complex, seed: int = 0, keep: Complex | None = None) -> Complex:
@@ -32,7 +26,7 @@ def greedy_collapse(cx: Complex, seed: int = 0, keep: Complex | None = None) -> 
     live: set[Face] = set(cx.faces)
     cof: dict[Face, set[Face]] = {f: set() for f in live}
     for f in live:
-        for s in _proper_subfaces(f):
+        for s in proper_subfaces(f):
             cof[s].add(f)
 
     rng = random.Random(seed)
@@ -49,7 +43,7 @@ def greedy_collapse(cx: Complex, seed: int = 0, keep: Complex | None = None) -> 
         live.discard(sigma)
         live.discard(eta)
         for removed in (sigma, eta):
-            for s in _proper_subfaces(removed):
+            for s in proper_subfaces(removed):
                 c = cof.get(s)
                 if c is None:
                     continue

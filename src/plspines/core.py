@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Hashable, Iterable, Iterator, Mapping
 
 Face = tuple[str, ...]
 
@@ -38,6 +38,24 @@ def _face_key(face: Face) -> tuple[int, Face]:
     return (len(face), face)
 
 
+# -- the face kernel: subfaces, closure -----------------------------------
+
+
+def proper_subfaces(face: Face) -> Iterator[Face]:
+    """Nonempty faces properly contained in face, by size then lexicographic."""
+    for r in range(1, len(face)):
+        yield from itertools.combinations(face, r)
+
+
+def closure_faces(faces: Iterable[Face]) -> frozenset[Face]:
+    """The given faces together with all their nonempty subfaces."""
+    out: set[Face] = set()
+    for f in faces:
+        for r in range(1, len(f) + 1):
+            out.update(itertools.combinations(f, r))
+    return frozenset(out)
+
+
 class Complex:
     """Immutable abstract simplicial complex over string vertex labels.
 
@@ -49,6 +67,7 @@ class Complex:
     __slots__ = (
         "faces",
         "_hash",
+        "_dim",
         "_vertices",
         "_faces_sorted",
         "_cofaces",
@@ -61,6 +80,7 @@ class Complex:
             faces if isinstance(faces, frozenset) else frozenset(faces)
         )
         self._hash = None
+        self._dim = None
         self._vertices = None
         self._faces_sorted = None
         self._cofaces = None
@@ -93,9 +113,9 @@ class Complex:
     @property
     def dim(self) -> int:
         """Dimension of the complex; -1 when empty."""
-        if not self.faces:
-            return -1
-        return max(len(f) for f in self.faces) - 1
+        if self._dim is None:
+            self._dim = max((len(f) for f in self.faces), default=0) - 1
+        return self._dim
 
     @property
     def vertices(self) -> tuple[str, ...]:
@@ -127,11 +147,8 @@ class Complex:
         if self._cofaces is None:
             cof: dict[Face, list[Face]] = {f: [] for f in self.faces}
             for f in self.faces_sorted:
-                if len(f) == 1:
-                    continue
-                for r in range(1, len(f)):
-                    for s in itertools.combinations(f, r):
-                        cof[s].append(f)
+                for s in proper_subfaces(f):
+                    cof[s].append(f)
             self._cofaces = {f: tuple(c) for f, c in cof.items()}
         return self._cofaces
 
@@ -162,10 +179,9 @@ class Complex:
         for f in self.faces:
             if tuple(sorted(set(f))) != f or not f:
                 raise ValueError(f"non-canonical face {f!r}")
-            for r in range(1, len(f)):
-                for s in itertools.combinations(f, r):
-                    if s not in self.faces:
-                        raise ValueError(f"missing subface {s} of {f}")
+            for s in proper_subfaces(f):
+                if s not in self.faces:
+                    raise ValueError(f"missing subface {s} of {f}")
 
 
 EMPTY = Complex(frozenset())
@@ -184,13 +200,9 @@ def from_facets(facets: Iterable[Iterable[str]]) -> Complex:
     facet_list = [canonical_face(f) for f in facets]
     if not facet_list:
         raise ValueError("facet list is empty")
-    faces: set[Face] = set()
-    for f in facet_list:
-        if not f:
-            raise ValueError("empty facet")
-        for r in range(1, len(f) + 1):
-            faces.update(itertools.combinations(f, r))
-    return Complex(frozenset(faces))
+    if not all(facet_list):
+        raise ValueError("empty facet")
+    return Complex(closure_faces(facet_list))
 
 
 def subcomplex_spanned(cx: Complex, vertices: Iterable[str]) -> Complex:
@@ -201,15 +213,11 @@ def subcomplex_spanned(cx: Complex, vertices: Iterable[str]) -> Complex:
 
 def closure(cx: Complex, faces: Iterable[Face]) -> Complex:
     """Smallest subcomplex of cx containing the given faces."""
-    out: set[Face] = set()
-    for f in faces:
-        for r in range(1, len(f) + 1):
-            out.update(itertools.combinations(f, r))
-    out &= cx.faces
+    faces = list(faces)
     missing = {f for f in faces if f not in cx.faces}
     if missing:
         raise ValueError(f"faces not in complex: {sorted(missing)[:3]}")
-    return Complex(frozenset(out))
+    return Complex(closure_faces(faces))
 
 
 # -- simplicial maps ----------------------------------------------------
@@ -236,14 +244,6 @@ class SimplicialMap:
 
     def __repr__(self):
         return f"SimplicialMap({len(self.source)} -> {len(self.target)} faces)"
-
-
-def compose(g: SimplicialMap, f: SimplicialMap) -> SimplicialMap:
-    if f.target.faces != g.source.faces:
-        raise ValueError("maps are not composable")
-    return SimplicialMap(
-        f.source, g.target, {v: g.assignment[f.assignment[v]] for v in f.source.vertices}
-    )
 
 
 # -- derived complexes ---------------------------------------------------
@@ -296,12 +296,6 @@ def derived_image(dc: DerivedComplex, sub: Complex) -> Complex:
     return img
 
 
-def second_derived(cx: Complex) -> tuple[DerivedComplex, DerivedComplex]:
-    d1 = derived(cx)
-    d2 = derived(d1.complex)
-    return d1, d2
-
-
 def derived_map(f: SimplicialMap) -> SimplicialMap:
     """The induced simplicial map between derived complexes."""
     dsrc = derived(f.source)
@@ -320,16 +314,11 @@ def star(sub: Complex, amb: Complex) -> Complex:
     """Minimal subcomplex of amb containing all faces that meet sub."""
     if not amb.has_subcomplex(sub):
         raise ValueError("sub is not a subcomplex of the ambient complex")
-    vs = set(sub.vertices)
     vf = amb.vertex_faces
     touched: set[Face] = set()
-    for v in vs:
+    for v in sub.vertices:
         touched.update(vf.get(v, ()))
-    out: set[Face] = set()
-    for f in touched:
-        for r in range(1, len(f) + 1):
-            out.update(itertools.combinations(f, r))
-    return Complex(frozenset(out))
+    return Complex(closure_faces(touched))
 
 
 def link(sub: Complex, amb: Complex) -> Complex:
@@ -356,10 +345,9 @@ def regular_neighborhood(sub: Complex, amb: Complex) -> Complex:
 
     The result is a subcomplex of ``derived(derived(amb).complex).complex``.
     """
-    d1, d2 = second_derived(amb)
-    s1 = derived_image(d1, sub)
-    s2 = derived_image(d2, s1)
-    return star(s2, d2.complex)
+    d1 = derived(amb)
+    d2 = derived(d1.complex)
+    return star(derived_image(d2, derived_image(d1, sub)), d2.complex)
 
 
 # -- join, cone, suspension ----------------------------------------------
@@ -402,10 +390,12 @@ def suspension(a: Complex) -> Complex:
 
 
 class _UnionFind:
-    def __init__(self, items: Iterable[str]):
+    """Disjoint sets over orderable items; each root is its set's least member."""
+
+    def __init__(self, items: Iterable[Hashable]):
         self.parent = {x: x for x in items}
 
-    def find(self, x: str) -> str:
+    def find(self, x):
         p = self.parent
         root = x
         while p[root] != root:
@@ -414,7 +404,7 @@ class _UnionFind:
             p[x], x = root, p[x]
         return root
 
-    def union(self, a: str, b: str) -> None:
+    def union(self, a, b) -> None:
         ra, rb = self.find(a), self.find(b)
         if ra != rb:
             if rb < ra:

@@ -20,14 +20,13 @@ from plspines.core import (
     derived,
     derived_image,
     face_link,
-    star,
+    regular_neighborhood,
 )
 from plspines.spine import SpineComplex
 from plspines.strata import (
     assign_types,
     classify_all_links,
     classify_point_link,
-    spine_vertex_count_from_links,
 )
 
 
@@ -98,10 +97,8 @@ def frontier_of(region: Complex, ambient: Complex) -> Complex:
 def drill(ctx: DrillContext, k: Complex) -> DrillResult:
     """Drill the spine along k: remove the open regular neighborhood of k
     and add its frontier."""
-    k1 = _lift_to_prime(ctx, k)
-    k3 = derived_image(ctx.d3, derived_image(ctx.d2, k1))
     amb = ctx.d3.complex
-    rn = star(k3, amb)
+    rn = regular_neighborhood(_lift_to_prime(ctx, k), ctx.d1.complex)
     fr = frontier_of(rn, amb)
     faces = frozenset(
         f for f in ctx.spine2.faces if f not in rn.faces
@@ -127,12 +124,6 @@ def drill(ctx: DrillContext, k: Complex) -> DrillResult:
         vertices_before=ctx.spine.vertex_count,
         vertices_after=after,
     )
-
-
-def verify_drilled_simple(res: DrillResult, ambient_dim: int) -> int:
-    """Full link classification of a drilled complex; returns the vertex
-    count it implies, raising when some link is unrecognized."""
-    return spine_vertex_count_from_links(res.complex, ambient_dim)
 
 
 def eligible_drill_vertices(ctx: DrillContext) -> tuple[str, ...]:

@@ -20,6 +20,8 @@ from plspines.core import (
     Face,
     InvariantViolation,
     SimplicialMap,
+    _UnionFind,
+    closure_faces,
     connected_components,
     derived,
     derived_image,
@@ -27,7 +29,12 @@ from plspines.core import (
 )
 from plspines.partitions import VertexPartition
 from plspines.spine import SpineComplex, dual_spine
-from plspines.strata import StratumComponent, assign_types, stratum_components
+from plspines.strata import (
+    StratumComponent,
+    assign_types,
+    complement_components,
+    stratum_components,
+)
 
 
 # -- Stein factorization -----------------------------------------------------
@@ -46,27 +53,29 @@ def stein(f: SimplicialMap) -> SteinFactorization:
     """Stein factorization of the derived map of f.
 
     Middle vertices are the connected components of the preimages of the
-    derived target's vertices; middle faces are the h-images of the derived
+    derived target's vertices, labelled ``w/i`` for the i-th component over
+    w in order of least vertex; middle faces are the h-images of the derived
     source's faces.
     """
     fd = derived_map(f)
     src, tgt = fd.source, fd.target
+    a = fd.assignment
 
-    buckets: dict[str, list[Face]] = {w: [] for w in tgt.vertices}
+    # a fiber component is connected through the edges inside its fiber
+    uf = _UnionFind(src.vertices)
     for face in src.faces:
-        img = {fd.assignment[v] for v in face}
-        if len(img) == 1:
-            buckets[img.pop()].append(face)
-
-    h_assign: dict[str, str] = {}
+        if len(face) == 2 and a[face[0]] == a[face[1]]:
+            uf.union(*face)
     g_assign: dict[str, str] = {}
-    for w in tgt.vertices:
-        sub = Complex(frozenset(buckets[w]))
-        for i, comp in enumerate(connected_components(sub)):
-            label = f"{w}/{i}"
-            g_assign[label] = w
-            for v in comp.vertices:
-                h_assign[v] = label
+    root_label: dict[str, str] = {}
+    per_target: dict[str, int] = {}
+    for v in src.vertices:  # each root is the least vertex of its component
+        if uf.find(v) == v:
+            i = per_target.get(a[v], 0)
+            per_target[a[v]] = i + 1
+            root_label[v] = f"{a[v]}/{i}"
+            g_assign[root_label[v]] = a[v]
+    h_assign = {v: root_label[uf.find(v)] for v in src.vertices}
 
     middle_faces = frozenset(
         tuple(sorted({h_assign[v] for v in face})) for face in src.faces
@@ -114,17 +123,9 @@ class ComponentPoset:
         return self.labels[comp_id]
 
 
-def _closure_faces(cells: frozenset[Face]) -> frozenset[Face]:
-    out: set[Face] = set()
-    for c in cells:
-        for r in range(1, len(c) + 1):
-            out.update(itertools.combinations(c, r))
-    return frozenset(out)
-
-
 def component_poset(components: Sequence[StratumComponent]) -> ComponentPoset:
     labels = tuple(f"C{c.id}" for c in components)
-    closures = [_closure_faces(c.cells) for c in components]
+    closures = [closure_faces(c.cells) for c in components]
     less: set[tuple[str, str]] = set()
     for i, ci in enumerate(components):
         for j, cj in enumerate(components):
@@ -178,10 +179,7 @@ def pair_component_poset(t: Complex, k: Complex) -> ComponentPoset:
     for sub in connected_components(Complex(kcells)):
         comps.append(StratumComponent(next_id, sub.dim, sub.faces))
         next_id += 1
-    complement = set(dt.complex.faces) - set(kcells)
-    from plspines.strata import _components_of_cells
-
-    for cells in _components_of_cells(complement, lambda a, b: True, False):
+    for cells in complement_components(dt.complex, kcells):
         comps.append(StratumComponent(next_id, t.dim, cells))
         next_id += 1
     return component_poset(comps)
@@ -208,16 +206,7 @@ def _prenerve_map(t: Complex, poset: ComponentPoset) -> SimplicialMap:
         dtt.vertex_of_face[cell]: poset.cell_component[cell]
         for cell in dt.complex.faces
     }
-    try:
-        return SimplicialMap(dtt.complex, pn, assign)
-    except ValueError:
-        # defensive: one further derived step always yields a simplicial map
-        d3 = derived(dtt.complex)
-        assign3 = {}
-        for face in dtt.complex.faces:
-            chain = dtt.chain_of(face)
-            assign3[d3.vertex_of_face[face]] = poset.cell_component[chain[-1]]
-        return SimplicialMap(d3.complex, pn, assign3)
+    return SimplicialMap(dtt.complex, pn, assign)
 
 
 def _nerve_from_poset(t: Complex, poset: ComponentPoset) -> NervePair:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 
-from plspines.core import Complex, Face, face_link, is_connected
+from plspines.core import Complex, closure_faces, face_link, is_connected
 
 
 def euler_characteristic(cx: Complex) -> int:
@@ -38,13 +38,7 @@ def ridge_incidence(cx: Complex) -> Counter:
 
 def boundary_complex(cx: Complex) -> Complex:
     """Closure of the codimension-1 faces lying in exactly one top face."""
-    rid = ridge_incidence(cx)
-    bfaces: set[Face] = set()
-    for s, n in rid.items():
-        if n == 1:
-            for r in range(1, len(s) + 1):
-                bfaces.update(itertools.combinations(s, r))
-    return Complex(frozenset(bfaces))
+    return Complex(closure_faces(s for s, n in ridge_incidence(cx).items() if n == 1))
 
 
 def is_closed_pseudomanifold(cx: Complex) -> bool:

@@ -14,10 +14,16 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from plspines.core import Complex, InvariantViolation, connected_components, derived
+from plspines.core import Complex, InvariantViolation, connected_components
 from plspines.partitions import VertexPartition, discrete, vertex_partition
-from plspines.recognize import boundary_complex, is_closed_manifold
-from plspines.spine import certify_region_component, region_of_class, vertex_count
+from plspines.recognize import is_closed_manifold
+from plspines.spine import (
+    boundary_in_t2,
+    certify_region_component,
+    rainbow_count,
+    region_of_class,
+    vertex_count,
+)
 
 
 @dataclass(frozen=True)
@@ -74,15 +80,7 @@ class _ClassCertifier:
         self.t = t
         self.seed = seed
         self.cache: dict[frozenset[str], bool] = {}
-        # regions of closed manifolds have no boundary part to collapse onto
-        self._bd2 = Complex(frozenset())
-        bd = boundary_complex(t)
-        if not bd.is_empty:
-            from plspines.core import derived_image
-
-            d1 = derived(t)
-            d2 = derived(d1.complex)
-            self._bd2 = derived_image(d2, derived_image(d1, bd))
+        self._bd2 = boundary_in_t2(t)
 
     def class_ok(self, cls: frozenset[str]) -> bool:
         got = self.cache.get(cls)
@@ -106,12 +104,7 @@ def _anneal_once(t: Complex, steps: int, restarts: int, pool: int, seed: int):
     current = [[v] for v in verts]
 
     def count_of(blocks) -> int:
-        cls = {}
-        for i, b in enumerate(blocks):
-            for v in b:
-                cls[v] = i
-        d = t.dim
-        return sum(1 for f in t.facets if len({cls[v] for v in f}) == d + 1)
+        return rainbow_count(t, {v: i for i, b in enumerate(blocks) for v in b})
 
     def propose(blocks):
         blocks = [list(b) for b in blocks]
@@ -200,17 +193,12 @@ def search_min_vertices(
     else:
         if jobs > 1:
             seeds = [seed + i for i in range(jobs)]
-            per = SearchBudget(
-                budget.exhaustive_cap,
-                max(1, budget.steps // jobs),
-                budget.restarts,
-                budget.pool,
-            )
+            per_steps = max(1, budget.steps // jobs)
             with ProcessPoolExecutor(max_workers=jobs) as ex:
                 parts = list(
                     ex.map(
                         _anneal_worker,
-                        [(t, per.steps, per.restarts, per.pool, s) for s in seeds],
+                        [(t, per_steps, budget.restarts, budget.pool, s) for s in seeds],
                     )
                 )
             merged: dict[tuple, int] = {}
@@ -218,9 +206,10 @@ def search_min_vertices(
                 for e, key in part:
                     merged.setdefault(key, e)
             candidates = sorted((e, key) for key, e in merged.items())
+            examined = per_steps * jobs
         else:
             candidates = _anneal_once(t, budget.steps, budget.restarts, budget.pool, seed)
-        examined = budget.steps
+            examined = budget.steps
         disc = discrete(t)
         key = disc.canonical_key()
         if key not in {k for _, k in candidates}:

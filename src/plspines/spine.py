@@ -4,28 +4,28 @@ The dual spine is a subcomplex of the derived triangulation T'.  Cells are
 recognized by a closed-form rule on chains: a chain of faces of T is a
 spine cell exactly when its minimal face meets at least two partition
 classes.  The literal union-of-links construction is kept alongside as an
-independent oracle (see :func:`dual_spine_direct`).
+independent oracle (see :func:`plspines.models.dual_cells_direct`).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Mapping
 
 from plspines.collapse import collapses_onto, collapses_to_point
 from plspines.core import (
+    EMPTY,
     Complex,
     DerivedComplex,
     Face,
     InvariantViolation,
+    closure_faces,
     connected_components,
     derived,
     derived_image,
-    star,
+    regular_neighborhood,
     subcomplex_spanned,
 )
-from plspines.models import dual_cells_direct
 from plspines.partitions import VertexPartition
 from plspines.recognize import boundary_complex, is_pure
 
@@ -69,16 +69,14 @@ def check_boundary_respect(t: Complex, p: VertexPartition) -> None:
             )
 
 
-def rainbow_facets(t: Complex, p: VertexPartition) -> tuple[Face, ...]:
+def rainbow_count(t: Complex, class_of: Mapping[str, int]) -> int:
     """Top simplexes whose vertices lie in pairwise distinct classes."""
     d = t.dim
-    return tuple(
-        f for f in t.facets if p.classes_meeting(f) == d + 1
-    )
+    return sum(1 for f in t.facets if len({class_of[v] for v in f}) == d + 1)
 
 
 def vertex_count(t: Complex, p: VertexPartition) -> int:
-    return len(rainbow_facets(t, p))
+    return rainbow_count(t, p.class_of)
 
 
 def dual_spine(
@@ -114,11 +112,6 @@ def dual_spine(
     )
 
 
-def dual_spine_direct(t: Complex, p: VertexPartition) -> frozenset[Face]:
-    """Oracle: the literal per-simplex union-of-links construction."""
-    return dual_cells_direct(t, p.classes)
-
-
 # -- complement regions ------------------------------------------------------
 
 
@@ -132,18 +125,18 @@ class RegionDecomposition:
     spine_neighborhood: Complex
 
 
-def class_span(t: Complex, cls: frozenset[str]) -> Complex:
-    """Subcomplex of t spanned by one partition class."""
-    return subcomplex_spanned(t, cls)
-
-
 def region_of_class(t: Complex, cls: frozenset[str]) -> Complex:
     """Regular neighborhood in T'' of the subcomplex spanned by the class."""
+    return regular_neighborhood(subcomplex_spanned(t, cls), t)
+
+
+def boundary_in_t2(t: Complex) -> Complex:
+    """The boundary of t re-expressed in T''; empty when t is closed."""
+    bd = boundary_complex(t)
+    if bd.is_empty:
+        return EMPTY
     d1 = derived(t)
-    d2 = derived(d1.complex)
-    span = class_span(t, cls)
-    s2 = derived_image(d2, derived_image(d1, span))
-    return star(s2, d2.complex)
+    return derived_image(derived(d1.complex), derived_image(d1, bd))
 
 
 def regions(t: Complex, p: VertexPartition, check_boundary: bool = True) -> RegionDecomposition:
@@ -161,16 +154,12 @@ def regions(t: Complex, p: VertexPartition, check_boundary: bool = True) -> Regi
             raise InvariantViolation("regions of distinct classes intersect")
         covered |= mv.faces
         out.append((cls, mv))
-    rest = [f for f in d2.complex.faces if f not in covered]
-    nbhd: set[Face] = set()
-    for f in rest:
-        for r in range(1, len(f) + 1):
-            nbhd.update(itertools.combinations(f, r))
+    rest = (f for f in d2.complex.faces if f not in covered)
     return RegionDecomposition(
         ambient=t,
         second=d2,
         regions=tuple(out),
-        spine_neighborhood=Complex(frozenset(nbhd)),
+        spine_neighborhood=Complex(closure_faces(rest)),
     )
 
 
@@ -221,13 +210,7 @@ def verify_spine(t: Complex, p: VertexPartition, seed: int = 0) -> SpineCertific
     collapse yields "unknown", never "not a spine".
     """
     dec = regions(t, p)
-    d1 = derived(t)
-    d2 = dec.second
-    bd = boundary_complex(t)
-    if bd.is_empty:
-        bd2 = Complex(frozenset())
-    else:
-        bd2 = derived_image(d2, derived_image(d1, bd))
+    bd2 = boundary_in_t2(t)
     reports = []
     all_ok = True
     for ci, (cls, mv) in enumerate(dec.regions):

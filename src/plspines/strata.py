@@ -10,13 +10,19 @@ K4 / theta / circle links inside a 3-manifold), and the two must agree.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass, replace
+from typing import Callable, Iterable
+
 from plspines.core import (
     Complex,
     Face,
     InvariantViolation,
+    _UnionFind,
     face_link,
+    join,
+    proper_subfaces,
 )
 from plspines.spine import SpineComplex, _chain_min_vertex
 
@@ -108,28 +114,12 @@ _TYPE_OF_LINK = {
 }
 
 
-def _boundary_of_cell(cell: Face) -> Complex:
-    import itertools
-
-    faces = set()
-    for r in range(1, len(cell)):
-        faces.update(itertools.combinations(cell, r))
-    return Complex(frozenset(faces))
-
-
 def _cell_point_link(cell: Face, spine_cx: Complex) -> Complex:
-    """Link of the cell's barycenter inside the spine: bd(cell) * lk(cell)."""
-    lk = face_link(cell, spine_cx)
-    bd = _boundary_of_cell(cell)
-    if bd.is_empty:
-        return lk
-    if lk.is_empty:
-        return bd
-    faces = set(bd.faces) | set(lk.faces)
-    for s in bd.faces:
-        for t in lk.faces:
-            faces.add(tuple(sorted(s + t)))
-    return Complex(frozenset(faces))
+    """Link of the cell's barycenter inside the spine: bd(cell) * lk(cell).
+
+    The link avoids the cell's vertices, so the join never relabels.
+    """
+    return join(Complex(frozenset(proper_subfaces(cell))), face_link(cell, spine_cx))
 
 
 def classify_point_link(link: Complex, ambient_dim: int) -> int:
@@ -209,40 +199,24 @@ class StratumComponent:
 
 
 def _components_of_cells(
-    cells: set[Face], same_group, codim_one_only: bool
+    cells: set[Face], neighbors: Callable[[Face], Iterable[Face]]
 ) -> list[frozenset[Face]]:
-    """Group cells by incidence; adjacency joins a cell to its facets."""
-    parent: dict[Face, Face] = {c: c for c in cells}
-
-    def find(x: Face) -> Face:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(a: Face, b: Face) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    import itertools
-
+    """Group cells, joining each cell to its neighbors that are cells too;
+    components come ordered by their least cell."""
+    uf = _UnionFind(cells)
     for c in cells:
-        rs = (
-            range(len(c) - 1, len(c))
-            if codim_one_only
-            else range(1, len(c))
-        )
-        for r in rs:
-            for sub in itertools.combinations(c, r):
-                if sub in cells and same_group(sub, c):
-                    union(sub, c)
+        for sub in neighbors(c):
+            if sub in cells:
+                uf.union(sub, c)
     groups: dict[Face, set[Face]] = {}
     for c in cells:
-        groups.setdefault(find(c), set()).add(c)
+        groups.setdefault(uf.find(c), set()).add(c)
     return [frozenset(groups[r]) for r in sorted(groups)]
+
+
+def complement_components(cx: Complex, cells: Iterable[Face]) -> list[frozenset[Face]]:
+    """Components of the faces of cx outside cells, joined by face inclusion."""
+    return _components_of_cells(set(cx.faces).difference(cells), proper_subfaces)
 
 
 def stratum_components(s: SpineComplex) -> list[StratumComponent]:
@@ -254,17 +228,17 @@ def stratum_components(s: SpineComplex) -> list[StratumComponent]:
     types = s.cell_type
     out: list[StratumComponent] = []
     spine_cells = set(s.cells)
-    same_type = lambda a, b: types[a] == types[b]
-    comps = _components_of_cells(spine_cells, same_type, codim_one_only=True)
+
+    def same_type_facets(c: Face):
+        return (f for f in itertools.combinations(c, len(c) - 1) if types.get(f) == types[c])
+
+    comps = _components_of_cells(spine_cells, same_type_facets)
     comps.sort(key=lambda cells: (types[min(cells)], min(cells)))
     next_id = 0
     for cells in comps:
         out.append(StratumComponent(next_id, types[min(cells)], cells))
         next_id += 1
-    complement = set(s.derived.complex.faces) - spine_cells
-    for cells in _components_of_cells(
-        complement, lambda a, b: True, codim_one_only=False
-    ):
+    for cells in complement_components(s.derived.complex, spine_cells):
         out.append(StratumComponent(next_id, d, cells))
         next_id += 1
     return out

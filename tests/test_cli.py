@@ -1,8 +1,13 @@
+import os
+import shlex
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import plspines
 from plspines.cli import main
 
 
@@ -41,13 +46,20 @@ class TestPipeline:
         assert "vertices: 14" in vs.output
 
     def test_real_subprocess_pipe(self):
+        cli = f"{shlex.quote(sys.executable)} -m plspines"
         shell = (
-            "plspines gen --name S2_tetra | "
-            "plspines dual-spine --partition discrete | "
-            "plspines verify-spine"
+            f"{cli} gen --name S2_tetra | "
+            f"{cli} dual-spine --partition discrete | "
+            f"{cli} verify-spine"
         )
+        src = str(Path(plspines.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         out = subprocess.run(
-            ["bash", "-c", shell], capture_output=True, text=True, timeout=120
+            ["bash", "-c", shell],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert out.returncode == 0
         assert "certificate: yes" in out.stdout

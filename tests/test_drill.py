@@ -7,11 +7,10 @@ from plspines.drill import (
     eligible_drill_vertices,
     prepare,
     sample_drill_points,
-    verify_drilled_simple,
 )
 from plspines.homology import hypersurface_from_class, top_cycle_supports
 from plspines.spine import dual_spine
-from plspines.strata import assign_types
+from plspines.strata import assign_types, spine_vertex_count_from_links
 
 
 @pytest.fixture(scope="module")
@@ -30,13 +29,13 @@ class TestDrillSurface:
         assert len(connected_components(res.complex)) == 2
         # the frontier of a vertex star in a surface is a circle
         assert is_closed_curve(res.frontier)
-        assert verify_drilled_simple(res, 2) == 0
+        assert spine_vertex_count_from_links(res.complex, 2) == 0
 
     def test_on_spine_point_creates_two_vertices(self, equator_ctx):
         # the dimension-2 exception: a spine point is always on the 1-skeleton
         res = drill(equator_ctx, Complex(frozenset({("(v0,v2)",)})))
         assert res.vertices_after == 2
-        assert verify_drilled_simple(res, 2) == 2
+        assert spine_vertex_count_from_links(res.complex, 2) == 2
 
     def test_cells_outside_neighborhood_unchanged(self, equator_ctx):
         res = drill(equator_ctx, Complex(frozenset({("(v0)",)})))
@@ -69,7 +68,7 @@ class TestDrill3Manifold:
     def test_full_simplicity_check_once(self, pentachoron_drill_ctx):
         (k,) = sample_drill_points(pentachoron_drill_ctx, 1, seed=3)
         res = drill(pentachoron_drill_ctx, k)
-        assert verify_drilled_simple(res, 3) == 5
+        assert spine_vertex_count_from_links(res.complex, 3) == 5
 
     def test_bad_locus_rejected(self, pentachoron_drill_ctx):
         with pytest.raises(ValueError):

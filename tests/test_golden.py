@@ -1,0 +1,46 @@
+"""Golden CLI outputs: stdout and exit code of fixed jobs, byte for byte.
+
+Each ``tests/golden/<name>.out`` holds the exact stdout of one command.
+A refactor that keeps behaviour keeps every file; a change that means to
+alter output rewrites the affected files and says why.
+"""
+
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+
+from plspines.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+JOBS = [
+    ("report_T2_7", ["--seed", "3", "report", "--name", "T2_7"], 0),
+    (
+        "report_RP2_6_one_vs_rest",
+        ["--seed", "7", "report", "--name", "RP2_6", "--partition", "one-vs-rest"],
+        2,
+    ),
+    ("report_S2_oct", ["report", "--name", "S2_oct"], 0),
+    ("nerve_T2_7", ["nerve", "--name", "T2_7", "--partition", "discrete"], 0),
+    ("strata_genus2_10", ["strata", "--name", "genus2_10", "--partition", "discrete"], 0),
+    (
+        "verify_spine_D2_triangle",
+        ["verify-spine", "--name", "D2_triangle", "--partition", "single"],
+        2,
+    ),
+    (
+        "drill_S2_tetra",
+        ["--seed", "5", "drill", "--name", "S2_tetra", "--partition", "a,b|c,d", "--points", "2"],
+        0,
+    ),
+    ("search_S2_oct", ["--budget", "300", "--seed", "3", "search", "--name", "S2_oct"], 0),
+    ("normal_discs_3", ["normal-discs", "--n", "3"], 0),
+]
+
+
+@pytest.mark.parametrize("name,args,code", JOBS, ids=[j[0] for j in JOBS])
+def test_golden_output(name, args, code):
+    res = CliRunner().invoke(main, args, catch_exceptions=False)
+    assert res.exit_code == code
+    assert res.stdout == (GOLDEN / f"{name}.out").read_text()

@@ -60,3 +60,6 @@ def test_parallel_jobs_deterministic(sphere2):
     b = search_min_vertices(sphere2, budget, seed=1, jobs=2)
     assert a.best_count == b.best_count
     assert a.best_partition == b.best_partition
+
+    odd = SearchBudget(exhaustive_cap=1, steps=201, restarts=2)
+    assert search_min_vertices(sphere2, odd, seed=1, jobs=2).partitions_examined == 200

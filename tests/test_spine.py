@@ -4,12 +4,11 @@ import pytest
 
 from plspines.collapse import collapses_to_point
 from plspines.core import from_facets
-from plspines.models import named_triangulation
+from plspines.models import dual_cells_direct, named_triangulation
 from plspines.partitions import discrete, one_vs_rest, single_class, vertex_partition
 from plspines.recognize import euler_characteristic
 from plspines.spine import (
     dual_spine,
-    dual_spine_direct,
     regions,
     vertex_count,
     verify_spine,
@@ -63,7 +62,7 @@ class TestDualSpine:
                 continue
             p = vertex_partition(t, random_partition_blocks(rng, t.vertices))
             s = dual_spine(t, p, check_boundary=False)
-            assert s.cells == dual_spine_direct(t, p), (t.facets, p)
+            assert s.cells == dual_cells_direct(t, p.classes), (t.facets, p)
             cases += 1
 
 
