@@ -2,9 +2,13 @@
 
 A free pair is a face properly contained in exactly one other face;
 removing both is an elementary collapse.  The greedy driver removes free
-pairs until none remain.  Collapsibility testing is a heuristic: a failed
-run means "not collapsed", never "not collapsible", so certificates are
-taken over several seeded restarts.
+pairs until none remain.  A certificate first applies two exact
+obstructions: an elementary collapse keeps the Euler characteristic, so
+a complex whose characteristic differs from its target's (1 for a point)
+is not collapsible onto it; and a greedy run that removes nothing finds
+no free pair at all, so no scan order can remove anything either.  Past
+those, a failed run means "not collapsed", never "not collapsible", and
+certificates are taken over several seeded restarts.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import random
 
 from plspines.core import Complex, Face, proper_subfaces
+from plspines.recognize import euler_characteristic
 
 DEFAULT_RESTARTS = 32
 
@@ -56,8 +61,12 @@ def greedy_collapse(cx: Complex, seed: int = 0, keep: Complex | None = None) -> 
 def collapses_to_point(
     cx: Complex, restarts: int = DEFAULT_RESTARTS, seed: int = 0
 ) -> bool:
-    """Heuristic ball certificate: some seeded run collapses cx to one vertex."""
-    if cx.is_empty:
+    """Ball certificate: some seeded run collapses cx to one vertex.
+
+    ``False`` is exact when the Euler characteristic is not 1 or when cx
+    has no free pair; otherwise it only means no run collapsed cx.
+    """
+    if euler_characteristic(cx) != 1:
         return False
     if len(cx.faces) == 1:
         return True
@@ -65,19 +74,29 @@ def collapses_to_point(
         out = greedy_collapse(cx, seed=seed + s)
         if len(out.faces) == 1:
             return True
+        if len(out.faces) == len(cx.faces):
+            return False
     return False
 
 
 def collapses_onto(
     cx: Complex, target: Complex, restarts: int = DEFAULT_RESTARTS, seed: int = 0
 ) -> bool:
-    """Heuristic certificate that cx collapses onto the subcomplex target."""
+    """Certificate that cx collapses onto the subcomplex target.
+
+    ``False`` is exact when the Euler characteristics differ or when no
+    free pair lies outside target; otherwise it only means no run reached it.
+    """
     if not cx.has_subcomplex(target):
         raise ValueError("target is not a subcomplex")
     if cx.faces == target.faces:
         return True
+    if euler_characteristic(cx) != euler_characteristic(target):
+        return False
     for s in range(restarts):
         out = greedy_collapse(cx, seed=seed + s, keep=target)
         if out.faces == target.faces:
             return True
+        if len(out.faces) == len(cx.faces):
+            return False
     return False

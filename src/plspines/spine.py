@@ -188,8 +188,8 @@ class SpineCertificate:
 
 def certify_region_component(
     comp: Complex, boundary2: Complex, seed: int = 0
-) -> RegionReport | tuple[str, bool, int]:
-    """Classify one region component as a ball or a collar candidate."""
+) -> tuple[str, bool, int]:
+    """Certify one region component: ``(kind, ok, faces)``, kind ball or collar."""
     target_faces = comp.faces & boundary2.faces
     if target_faces:
         target = Complex(target_faces)

@@ -35,6 +35,8 @@ JOBS = [
         0,
     ),
     ("search_S2_oct", ["--budget", "300", "--seed", "3", "search", "--name", "S2_oct"], 0),
+    ("search_T2_7", ["search", "--name", "T2_7"], 0),
+    ("search_RP2_6", ["search", "--name", "RP2_6"], 0),
     ("normal_discs_3", ["normal-discs", "--n", "3"], 0),
 ]
 
