@@ -3,7 +3,13 @@
 Drilling removes from the spine the open regular neighborhood of a
 subcomplex k and adds the neighborhood's frontier.  The spine lives in T'
 and k in T or T'; both are re-expressed in the second derived subdivision
-of T', where the star of k's image is a regular neighborhood.  Off the
+of T', where the star of k's image is a regular neighborhood.  Its
+frontier is the link of k's image, the faces of the star that miss it:
+the image of a subcomplex under derived subdivision is full, and the
+simplicial neighborhood of a full subcomplex in a derived subdivision
+has the link as frontier (Rourke and Sanderson, Introduction to
+Piecewise-Linear Topology, Ch. 3), so no coface table of T''' is built
+(proof at ``frontier_of``).  Off the
 spine's closed 1-skeleton the vertex count is preserved; the count of the
 result is recomputed from links (sound for ambient dimension at most 3).
 """
@@ -85,21 +91,32 @@ def _lift_to_prime(ctx: DrillContext, k: Complex) -> Complex:
     )
 
 
-def frontier_of(region: Complex, ambient: Complex) -> Complex:
-    """Faces of a subcomplex that also lie in the closure of its complement."""
-    cof = ambient.proper_cofaces
-    out = frozenset(
-        f for f in region.faces if any(c not in region.faces for c in cof[f])
-    )
-    return Complex(out)
+def frontier_of(region: Complex, locus: Complex) -> Complex:
+    """Frontier of the star ``region`` of ``locus`` in T''': the faces of
+    the star that miss the locus's vertices, i.e. the link of the locus.
+
+    The frontier is the set of star faces with a coface in T''' outside
+    the star.  This equals the link when the locus is the derived image
+    L''' of a subcomplex L'' of T'' that is full in T'' (true of any
+    derived image, such as the image of a subcomplex of T').  A face
+    meeting L''' has only cofaces meeting L''', all in the star.  A face
+    of T''' that contains a vertex (w) with w not in L'' lies outside the
+    star: every chain through (w) consists of faces containing w, none in
+    L''.  So a star face f missing L''' is a chain whose least element mu
+    is not in L'' and is not such a vertex; by fullness mu has a vertex w
+    not in L'', with (w) a proper face of mu, and f plus (w) is a coface
+    of f outside the star.
+    """
+    vs = set(locus.vertices)
+    return Complex(frozenset(f for f in region.faces if vs.isdisjoint(f)))
 
 
 def drill(ctx: DrillContext, k: Complex) -> DrillResult:
     """Drill the spine along k: remove the open regular neighborhood of k
     and add its frontier."""
-    amb = ctx.d3.complex
-    rn = regular_neighborhood(_lift_to_prime(ctx, k), ctx.d1.complex)
-    fr = frontier_of(rn, amb)
+    kp = _lift_to_prime(ctx, k)
+    rn = regular_neighborhood(kp, ctx.d1.complex)
+    fr = frontier_of(rn, derived_image(ctx.d3, derived_image(ctx.d2, kp)))
     faces = frozenset(
         f for f in ctx.spine2.faces if f not in rn.faces
     ) | fr.faces

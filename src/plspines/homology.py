@@ -54,7 +54,8 @@ def gf2_kernel_basis(M: np.ndarray) -> np.ndarray:
     if rows == 0:
         return np.eye(cols, dtype=np.uint8)
     R, pivots = gf2_row_reduce(M)
-    free = [c for c in range(cols) if c not in pivots]
+    pivot_set = set(pivots)
+    free = [c for c in range(cols) if c not in pivot_set]
     basis = np.zeros((len(free), cols), dtype=np.uint8)
     for i, fc in enumerate(free):
         basis[i, fc] = 1
@@ -89,23 +90,48 @@ class Z2ChainComplex:
                     for s in itertools.combinations(f, k):
                         M[idx[s], j] ^= 1
             self.boundaries.append(M)
+        self._ranks: dict[int, int] = {}
         self._check_dd()
 
     def _check_dd(self) -> None:
-        for k in range(2, len(self.boundaries)):
-            prod = (self.boundaries[k - 1] @ self.boundaries[k]) % 2
-            if prod.any():
-                raise InvariantViolation("boundary of boundary is nonzero")
+        """Raise unless every product of consecutive boundaries vanishes.
+
+        Column j of the product of the boundaries in degrees k-1 and k is
+        the XOR of the degree-(k-1) columns at the nonzero rows of column j
+        of the degree-k boundary; columns are Python-int bitsets, so the
+        cost is the number of incidences, not the matrix sizes.
+        """
+        supports = [_column_supports(M) for M in self.boundaries]
+        for k in range(2, len(supports)):
+            bits = [sum(1 << r for r in rows) for rows in supports[k - 1]]
+            for rows in supports[k]:
+                acc = 0
+                for r in rows:
+                    acc ^= bits[r]
+                if acc:
+                    raise InvariantViolation("boundary of boundary is nonzero")
+
+    def rank(self, k: int) -> int:
+        """Rank of the degree-k boundary, computed once; zero outside 1..dim."""
+        if not 1 <= k <= self.complex.dim:
+            return 0
+        if k not in self._ranks:
+            self._ranks[k] = gf2_rank(self.boundaries[k])
+        return self._ranks[k]
 
     def betti(self, k: int) -> int:
         if k < 0 or k > self.complex.dim:
             return 0
-        nk = len(self.bases[k])
-        rank_k = gf2_rank(self.boundaries[k]) if k > 0 else 0
-        rank_k1 = (
-            gf2_rank(self.boundaries[k + 1]) if k + 1 <= self.complex.dim else 0
-        )
-        return nk - rank_k - rank_k1
+        return len(self.bases[k]) - self.rank(k) - self.rank(k + 1)
+
+
+def _column_supports(M: np.ndarray) -> list[list[int]]:
+    """Rows of the odd entries of each column of M."""
+    out: list[list[int]] = [[] for _ in range(M.shape[1])]
+    cols, rows = np.nonzero(M.T & 1)
+    for c, r in zip(cols.tolist(), rows.tolist()):
+        out[c].append(r)
+    return out
 
 
 def betti(cx: Complex, k: int) -> int:

@@ -1,16 +1,35 @@
-import pytest
+import random
 
-from plspines.core import Complex, connected_components, from_facets
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from plspines.core import (
+    Complex,
+    closure,
+    connected_components,
+    derived,
+    derived_image,
+    from_facets,
+    regular_neighborhood,
+)
 from plspines.drill import (
     cut_along_hypersurface,
     drill,
     eligible_drill_vertices,
+    frontier_of,
     prepare,
     sample_drill_points,
 )
 from plspines.homology import hypersurface_from_class, top_cycle_supports
+from plspines.models import catalogue_names, named_triangulation
+from plspines.partitions import discrete, single_class
+from plspines.recognize import boundary_complex
 from plspines.spine import dual_spine
 from plspines.strata import assign_types, spine_vertex_count_from_links
+from helpers import random_complex, random_pure_complex
+
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
 @pytest.fixture(scope="module")
@@ -107,3 +126,45 @@ class TestCut:
         ))
         with pytest.raises(ValueError, match="pseudomanifold"):
             cut_along_hypersurface(ctx, sub)
+
+
+def _coface_frontier(region: Complex, ambient: Complex) -> Complex:
+    """The oracle: faces of region with a coface in ambient outside it."""
+    cof = ambient.proper_cofaces
+    return Complex(frozenset(
+        f for f in region.faces if any(c not in region.faces for c in cof[f])
+    ))
+
+
+class TestFrontierIsLink:
+    # Fixed example sequence: the suite's data does not change between runs.
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(seeds, st.booleans())
+    def test_random_subcomplexes(self, seed, pure):
+        rng = random.Random(seed)
+        if pure:
+            dim = rng.randint(1, 3)
+            t = random_pure_complex(rng, dim, rng.randint(dim + 1, 7), rng.randint(1, 4))
+        else:
+            t = random_complex(rng, max_facets=4)
+        faces = t.faces_sorted
+        k = closure(t, rng.sample(faces, rng.randint(1, min(4, len(faces)))))
+        d1 = derived(t)
+        d2 = derived(d1.complex)
+        rn = regular_neighborhood(k, t)
+        locus = derived_image(d2, derived_image(d1, k))
+        assert frontier_of(rn, locus).faces == _coface_frontier(rn, d2.complex).faces
+
+    @pytest.mark.parametrize("name", catalogue_names())
+    def test_sampled_drills_on_catalogue(self, name, pentachoron_drill_ctx):
+        t = named_triangulation(name)
+        if name == "S3_pentachoron":
+            ctx = pentachoron_drill_ctx
+        else:
+            # a partition must not split a boundary component
+            p = discrete(t) if boundary_complex(t).is_empty else single_class(t)
+            ctx = prepare(assign_types(dual_spine(t, p)))
+        for k in sample_drill_points(ctx, 3, seed=1):
+            res = drill(ctx, k)
+            expected = _coface_frontier(res.neighborhood, ctx.d3.complex)
+            assert res.frontier.faces == expected.faces

@@ -38,6 +38,13 @@ JOBS = [
     ("search_T2_7", ["search", "--name", "T2_7"], 0),
     ("search_RP2_6", ["search", "--name", "RP2_6"], 0),
     ("normal_discs_3", ["normal-discs", "--n", "3"], 0),
+    ("homology_T2_7", ["homology", "--name", "T2_7"], 0),
+    ("homology_RP2_6", ["homology", "--name", "RP2_6"], 0),
+    (
+        "drill_S3_pentachoron",
+        ["drill", "--name", "S3_pentachoron", "--partition", "discrete", "--points", "2"],
+        0,
+    ),
 ]
 
 

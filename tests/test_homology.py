@@ -1,7 +1,11 @@
+import random
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from plspines.core import from_facets
+from plspines.core import InvariantViolation, from_facets
 from plspines.homology import (
     Z2ChainComplex,
     betti,
@@ -16,6 +20,11 @@ from plspines.homology import (
 from plspines.collapse import collapses_to_point
 from plspines.models import pi_boundary
 from plspines.recognize import is_closed_curve, is_closed_pseudomanifold, is_closed_surface
+from helpers import random_complex
+
+# Fixed example sequence: the suite's data does not change between runs.
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
 class TestGF2:
@@ -46,6 +55,62 @@ class TestBetti:
 
     def test_boundary_squared_zero(self, sphere3):
         Z2ChainComplex(sphere3)  # raises if dd != 0
+
+    def test_each_rank_computed_once(self, torus7, monkeypatch):
+        from plspines import homology
+
+        calls = []
+        inner = homology.gf2_rank
+
+        def counted(M):
+            calls.append(M.shape)
+            return inner(M)
+
+        monkeypatch.setattr(homology, "gf2_rank", counted)
+        assert betti_all(torus7) == [1, 2, 1]
+        assert len(calls) == 2
+
+
+class TestBoundarySquaredCheck:
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("pick", ["incidence", "non-incidence"])
+    def test_one_flipped_entry_is_caught(self, sphere3, k, pick):
+        ch = Z2ChainComplex(sphere3)
+        M = ch.boundaries[k]
+        rows, cols = np.nonzero(M if pick == "incidence" else 1 - M)
+        for i in range(0, len(rows), max(1, len(rows) // 7)):
+            r, c = rows[i], cols[i]
+            M[r, c] ^= 1
+            with pytest.raises(InvariantViolation, match="boundary of boundary"):
+                ch._check_dd()
+            M[r, c] ^= 1
+        ch._check_dd()
+
+
+def _dense_dd_is_zero(boundaries) -> bool:
+    """The oracle: products of consecutive boundaries as dense matrices."""
+    return all(
+        not ((boundaries[k - 1].astype(np.int64) @ boundaries[k]) % 2).any()
+        for k in range(2, len(boundaries))
+    )
+
+
+@PROPERTY
+@given(seeds, st.integers(min_value=0, max_value=3))
+def test_sparse_dd_check_agrees_with_dense_product(seed, flips):
+    rng = random.Random(seed)
+    ch = Z2ChainComplex(random_complex(rng))
+    for _ in range(flips):
+        k = rng.randrange(1, len(ch.boundaries)) if len(ch.boundaries) > 1 else 0
+        M = ch.boundaries[k]
+        if M.size:
+            M[rng.randrange(M.shape[0]), rng.randrange(M.shape[1])] ^= 1
+    try:
+        ch._check_dd()
+        sparse_zero = True
+    except InvariantViolation:
+        sparse_zero = False
+    assert sparse_zero == _dense_dd_is_zero(ch.boundaries)
 
 
 class TestNormalDiscs:
