@@ -267,14 +267,20 @@ def derived_vertex_label(face: Face) -> str:
     return "(" + ",".join(face) + ")"
 
 
+def derived_labels(cx: Complex) -> dict[Face, str]:
+    """Face -> its derived vertex label, in canonical face order."""
+    label = {f: derived_vertex_label(f) for f in cx.faces_sorted}
+    if len(set(label.values())) != len(label):
+        # only possible when user labels mimic generated ones, e.g. "a,b"
+        raise ValueError("vertex labels collide under derived naming")
+    return label
+
+
 @lru_cache(maxsize=32)
 def derived(cx: Complex) -> DerivedComplex:
     """Complex of chains of faces of cx, with deterministic vertex labels."""
     faces = cx.faces_sorted
-    label = {f: derived_vertex_label(f) for f in faces}
-    if len(set(label.values())) != len(faces):
-        # only possible when user labels mimic generated ones, e.g. "a,b"
-        raise ValueError("vertex labels collide under derived naming")
+    label = derived_labels(cx)
     cof = cx.proper_cofaces
     out: list[Face] = []
     for f in faces:

@@ -22,10 +22,10 @@ from dataclasses import dataclass
 from plspines.core import (
     Complex,
     DerivedComplex,
+    Face,
     InvariantViolation,
     derived,
     derived_image,
-    face_link,
     regular_neighborhood,
 )
 from plspines.spine import SpineComplex
@@ -129,10 +129,18 @@ def drill(ctx: DrillContext, k: Complex) -> DrillResult:
             for v, t in ctx.baseline_types.items()
             if t == 0 and (v,) not in rn.faces
         )
-        inside = 0
-        for v in fr.vertices:
-            if classify_point_link(face_link((v,), result), d) == 0:
-                inside += 1
+        # links of the frontier vertices in one pass over the drilled faces
+        links: dict[str, set[Face]] = {v: set() for v in fr.vertices}
+        for f in faces:
+            if len(f) > 1:
+                for v in f:
+                    if v in links:
+                        links[v].add(tuple(x for x in f if x != v))
+        inside = sum(
+            1
+            for v in fr.vertices
+            if classify_point_link(Complex(frozenset(links[v])), d) == 0
+        )
         after = outside + inside
     return DrillResult(
         complex=result,

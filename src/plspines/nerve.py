@@ -6,13 +6,17 @@ of a plain subcomplex and of its complement).  The pre-nerve is the order
 complex of the component poset under closure inclusion.  The pre-nerve map
 sends each barycenter of a T'-face, i.e. each vertex of T'', to the
 component holding that face's interior; the nerve is the Stein middle of
-this map.
+the derived map T''' -> (pre-nerve)'.  Stein runs on the face poset of the
+source, T'' here: the vertices of T''' are the faces of T'' and its faces
+are their chains, so fibers and middle are read off T'' and T''' is not
+built (proofs at ``stein``).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from plspines.core import (
@@ -25,7 +29,7 @@ from plspines.core import (
     connected_components,
     derived,
     derived_image,
-    derived_map,
+    derived_labels,
 )
 from plspines.partitions import VertexPartition
 from plspines.spine import SpineComplex, dual_spine
@@ -42,51 +46,93 @@ from plspines.strata import (
 
 @dataclass(frozen=True, eq=False)
 class SteinFactorization:
-    """f' = g o h with h having connected fibers and g finite-to-one."""
+    """f' = g o h with h having connected fibers and g finite-to-one.
 
-    h: SimplicialMap
+    ``h`` is validated against the derived source, which it builds, on
+    first access; ``h_assignment`` is the same vertex map without it.
+    """
+
+    source: Complex  # source of f; h starts at its derived complex
+    h_assignment: Mapping[str, str]
     g: SimplicialMap
     middle: Complex
 
+    @cached_property
+    def h(self) -> SimplicialMap:
+        src = derived(self.source).complex
+        return SimplicialMap(src, self.middle, self.h_assignment)
+
 
 def stein(f: SimplicialMap) -> SteinFactorization:
-    """Stein factorization of the derived map of f.
+    """Stein factorization of the derived map f' of f, read off the face
+    poset of the source without building its derived complex.
 
-    Middle vertices are the connected components of the preimages of the
-    derived target's vertices, labelled ``w/i`` for the i-th component over
-    w in order of least vertex; middle faces are the h-images of the derived
-    source's faces.
+    The vertices of the derived source are the faces s of the source,
+    labelled ``derived_vertex_label(s)``, its faces are the chains of
+    faces, and f' sends (s) to (f(s)).  Middle vertices are the connected
+    components of the fibers of f', labelled ``w/i`` for the i-th
+    component over w in order of least vertex; middle faces are the
+    h-images of chains.  Three facts:
+
+    1. Fibers.  If s < t and f(s) = f(t), every face between them has
+       that image too, since images are monotone: f(s) <= f(r) <= f(t).
+       So the fiber edge (s)(t) is a path of fiber edges (r)(r + one
+       vertex), and fiber components are the classes of the pairs
+       (t, t minus one vertex) with equal image.
+    2. Middle.  Any subset of h(c) is h of a subchain of c: keep one
+       preimage in c per element.  Every chain lies in a saturated chain
+       (one vertex added per step) starting at a vertex, so the middle is
+       the closure of the h-images of those.  The images of the saturated
+       chains ending at t are those ending at the codim-1 faces of t, each
+       with h(t) added.
+    3. Checks.  g is validated as a simplicial map and g o h = f' is
+       checked on every vertex.  Every middle face is h(c) for a chain c,
+       so f'(c) = g(h(c)) is a face: together the two checks re-prove
+       that f' is simplicial.
     """
-    fd = derived_map(f)
-    src, tgt = fd.source, fd.target
-    a = fd.assignment
+    src = f.source
+    dtgt = derived(f.target)
+    label = derived_labels(src)
+    img = {s: f.image(s) for s in src.faces}
+    a = {label[s]: dtgt.vertex_of_face[img[s]] for s in src.faces}  # f'
 
-    # a fiber component is connected through the edges inside its fiber
-    uf = _UnionFind(src.vertices)
-    for face in src.faces:
-        if len(face) == 2 and a[face[0]] == a[face[1]]:
-            uf.union(*face)
+    uf = _UnionFind(a)
+    for t in src.faces_sorted:
+        if len(t) > 1:
+            for s in itertools.combinations(t, len(t) - 1):
+                if img[s] == img[t]:
+                    uf.union(label[s], label[t])
     g_assign: dict[str, str] = {}
     root_label: dict[str, str] = {}
     per_target: dict[str, int] = {}
-    for v in src.vertices:  # each root is the least vertex of its component
+    for v in sorted(a):  # each root is the least vertex of its component
         if uf.find(v) == v:
             i = per_target.get(a[v], 0)
             per_target[a[v]] = i + 1
             root_label[v] = f"{a[v]}/{i}"
             g_assign[root_label[v]] = a[v]
-    h_assign = {v: root_label[uf.find(v)] for v in src.vertices}
+    h_assign = {v: root_label[uf.find(v)] for v in a}
 
-    middle_faces = frozenset(
-        tuple(sorted({h_assign[v] for v in face})) for face in src.faces
+    # h-images of the saturated chains from a vertex up to each face
+    chains: dict[Face, set[frozenset[str]]] = {}
+    for t in src.faces_sorted:
+        m = h_assign[label[t]]
+        if len(t) == 1:
+            chains[t] = {frozenset((m,))}
+        else:
+            chains[t] = {
+                c | {m}
+                for s in itertools.combinations(t, len(t) - 1)
+                for c in chains[s]
+            }
+    middle = Complex(
+        closure_faces(tuple(sorted(c)) for cs in chains.values() for c in cs)
     )
-    middle = Complex(middle_faces)
-    h = SimplicialMap(src, middle, h_assign)
-    g = SimplicialMap(middle, tgt, g_assign)
-    for v in src.vertices:
-        if g_assign[h_assign[v]] != fd.assignment[v]:
+    g = SimplicialMap(middle, dtgt.complex, g_assign)
+    for v, w in a.items():
+        if g_assign[h_assign[v]] != w:
             raise InvariantViolation("Stein factorization does not compose to f'")
-    return SteinFactorization(h, g, middle)
+    return SteinFactorization(src, h_assign, g, middle)
 
 
 def stein_checks(sf: SteinFactorization) -> list[str]:
@@ -193,8 +239,12 @@ class NervePair:
     prenerve: Complex
     poset: ComponentPoset
     nerve: Complex | None = None
-    nerve_map: SimplicialMap | None = None
     stein: SteinFactorization | None = None
+
+    @property
+    def nerve_map(self) -> SimplicialMap | None:
+        """h of the Stein factorization, validated on first access."""
+        return None if self.stein is None else self.stein.h
 
 
 def _prenerve_map(t: Complex, poset: ComponentPoset) -> SimplicialMap:
@@ -216,7 +266,6 @@ def _nerve_from_poset(t: Complex, poset: ComponentPoset) -> NervePair:
         prenerve=pn_map.target,
         poset=poset,
         nerve=sf.middle,
-        nerve_map=sf.h,
         stein=sf,
     )
 

@@ -10,6 +10,7 @@ from plspines.core import (
     connected_components,
     derived,
     derived_image,
+    face_link,
     from_facets,
     regular_neighborhood,
 )
@@ -26,7 +27,11 @@ from plspines.models import catalogue_names, named_triangulation
 from plspines.partitions import discrete, single_class
 from plspines.recognize import boundary_complex
 from plspines.spine import dual_spine
-from plspines.strata import assign_types, spine_vertex_count_from_links
+from plspines.strata import (
+    assign_types,
+    classify_point_link,
+    spine_vertex_count_from_links,
+)
 from helpers import random_complex, random_pure_complex
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -168,3 +173,17 @@ class TestFrontierIsLink:
             res = drill(ctx, k)
             expected = _coface_frontier(res.neighborhood, ctx.d3.complex)
             assert res.frontier.faces == expected.faces
+            assert res.vertices_after == _face_link_count(ctx, res)
+
+
+def _face_link_count(ctx, res) -> int:
+    """The oracle: the vertex count with each frontier link from face_link."""
+    d = ctx.spine.ambient.dim
+    outside = sum(
+        1 for v, tp in ctx.baseline_types.items()
+        if tp == 0 and (v,) not in res.neighborhood.faces
+    )
+    return outside + sum(
+        1 for v in res.frontier.vertices
+        if classify_point_link(face_link((v,), res.complex), d) == 0
+    )

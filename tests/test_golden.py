@@ -45,6 +45,8 @@ JOBS = [
         ["drill", "--name", "S3_pentachoron", "--partition", "discrete", "--points", "2"],
         0,
     ),
+    ("report_S3_pentachoron", ["report", "--name", "S3_pentachoron"], 0),
+    ("nerve_S2_oct", ["nerve", "--name", "S2_oct", "--partition", "discrete"], 0),
 ]
 
 

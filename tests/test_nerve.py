@@ -1,21 +1,36 @@
 import random
 
-from plspines.core import SimplicialMap, from_facets, isomorphic
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import plspines.nerve
+from plspines.core import (
+    SimplicialMap,
+    _UnionFind,
+    derived,
+    derived_map,
+    from_facets,
+    isomorphic,
+)
 from plspines.homology import betti
 from plspines.models import named_triangulation
 from plspines.nerve import (
+    _prenerve_map,
     nerve,
     nerve_checks,
     nerve_of_pair,
     prenerve,
     prenerve_of_pair,
     rainbow_top_chain_count,
+    spine_component_poset,
     stein,
     stein_checks,
 )
 from plspines.partitions import discrete
 from plspines.recognize import is_closed_curve
-from plspines.spine import vertex_count
+from plspines.spine import dual_spine, vertex_count
+from plspines.strata import assign_types
 from helpers import random_simplicial_map
 
 
@@ -67,6 +82,73 @@ class TestStein:
             f = random_simplicial_map(rng, max_source_faces=40)
             sf = stein(f)
             assert stein_checks(sf) == []
+
+
+def _stein_on_derived_source(f: SimplicialMap):
+    """The oracle: Stein factorization computed on the derived source.
+
+    Fibers are the union-find classes of the same-image edges of the
+    derived source, and the middle holds the h-image of every derived face.
+    Returns the h and g assignments and the middle faces.
+    """
+    fd = derived_map(f)
+    src, a = fd.source, fd.assignment
+    uf = _UnionFind(src.vertices)
+    for face in src.faces:
+        if len(face) == 2 and a[face[0]] == a[face[1]]:
+            uf.union(*face)
+    root_label, g_assign, per_target = {}, {}, {}
+    for v in src.vertices:
+        if uf.find(v) == v:
+            i = per_target.get(a[v], 0)
+            per_target[a[v]] = i + 1
+            root_label[v] = f"{a[v]}/{i}"
+            g_assign[root_label[v]] = a[v]
+    h_assign = {v: root_label[uf.find(v)] for v in src.vertices}
+    middle = frozenset(tuple(sorted({h_assign[v] for v in face})) for face in src.faces)
+    return h_assign, g_assign, middle
+
+
+def _assert_matches_oracle(f: SimplicialMap):
+    h_assign, g_assign, middle = _stein_on_derived_source(f)
+    sf = stein(f)
+    assert dict(sf.h_assignment) == h_assign
+    assert dict(sf.g.assignment) == g_assign
+    assert sf.middle.faces == middle
+
+
+class TestSteinOnFacePoset:
+    # Fixed example sequence: the suite's data does not change between runs.
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_random_maps_match_derived_source(self, seed):
+        f = random_simplicial_map(random.Random(seed), max_source_faces=40)
+        _assert_matches_oracle(f)
+        assert dict(stein(f).h.assignment) == _stein_on_derived_source(f)[0]
+
+    @pytest.mark.parametrize("name", ["T2_7", "RP2_6", "S3_pentachoron"])
+    def test_discrete_prenerve_maps_match_derived_source(self, name):
+        t = named_triangulation(name)
+        poset = spine_component_poset(assign_types(dual_spine(t, discrete(t))))
+        _assert_matches_oracle(_prenerve_map(t, poset))
+
+    def test_nerve_never_builds_third_derived(self, monkeypatch):
+        t = named_triangulation("S3_pentachoron")
+        t2 = derived(derived(t).complex).complex
+        seen = []
+
+        def spy(cx):
+            seen.append(cx)
+            return derived(cx)
+
+        monkeypatch.setattr(plspines.nerve, "derived", spy)
+        np_ = nerve(t, discrete(t))
+        assert seen and all(cx != t2 for cx in seen)
+        h = np_.nerve_map  # validated against T''' when read
+        assert seen[-1] == t2
+        assert h.source == derived(t2).complex
+        assert h.target == np_.nerve
+        assert dict(h.assignment) == dict(np_.stein.h_assignment)
 
 
 class TestPrenerve:
