@@ -293,6 +293,8 @@ def normal_discs(n):
 @click.pass_context
 def drill(ctx, in_path, name, partition_arg, points):
     """Drill the dual spine at seeded points off its 1-skeleton."""
+    if points < 1:
+        _fail(f"--points must be at least 1, got {points}", EXIT_INPUT)
     t, inherited = _read_input(in_path, name)
     p = _resolve_partition(t, partition_arg, inherited)
     from plspines.drill import drill as drill_fn

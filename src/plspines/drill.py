@@ -2,14 +2,14 @@
 
 Drilling removes from the spine the open regular neighborhood of a
 subcomplex k and adds the neighborhood's frontier.  The spine lives in T'
-and k in T or T'; both are re-expressed in the second derived subdivision
-of T', where the star of k's image is a regular neighborhood.  Its
-frontier is the link of k's image, the faces of the star that miss it:
-the image of a subcomplex under derived subdivision is full, and the
-simplicial neighborhood of a full subcomplex in a derived subdivision
-has the link as frontier (Rourke and Sanderson, Introduction to
-Piecewise-Linear Topology, Ch. 3), so no coface table of T''' is built
-(proof at ``frontier_of``).  Off the
+and k in T or T'.  When the lift of k to T' is full in T' (every point
+locus is), both are re-expressed in T'', the first derived subdivision of
+T', where the simplicial neighborhood of k's image is a derived, hence
+regular, neighborhood of k (Rourke and Sanderson, Introduction to
+Piecewise-Linear Topology, Ch. 3).  Otherwise k's image in T'', which is
+full there, is drilled the same way one level up, in T'''.  At either
+level the frontier of the neighborhood is the link of the locus's image
+(proof at ``frontier_of``), so no coface table is built.  Off the
 spine's closed 1-skeleton the vertex count is preserved; the count of the
 result is recomputed from links (sound for ambient dimension at most 3).
 """
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from plspines.core import (
     Complex,
@@ -26,7 +27,8 @@ from plspines.core import (
     InvariantViolation,
     derived,
     derived_image,
-    regular_neighborhood,
+    star,
+    subcomplex_spanned,
 )
 from plspines.spine import SpineComplex
 from plspines.strata import (
@@ -37,20 +39,49 @@ from plspines.strata import (
 
 
 @dataclass(frozen=True, eq=False)
+class DrillLevel:
+    """The spine re-expressed in the derived subdivision ``dc`` of T' or T''."""
+
+    dc: DerivedComplex  # T' -> T'' or T'' -> T'''
+    spine: Complex  # the spine in dc.complex
+    types: dict[str, int]  # vertex of spine -> type; {} when ambient dim > 3
+
+
+def _level(base: Complex, spine: Complex, s: SpineComplex) -> DrillLevel:
+    """Re-express ``spine``, a subcomplex of ``base``, in derived(base) and
+    check that its link types count the vertices of the spine s."""
+    dc = derived(base)
+    fine = derived_image(dc, spine)
+    d = s.ambient.dim
+    if d > 3:
+        return DrillLevel(dc, fine, {})
+    types = classify_all_links(fine, d)
+    count = sum(1 for t in types.values() if t == 0)
+    if count != s.vertex_count:
+        raise InvariantViolation(
+            f"re-expressed spine has {count} vertices, expected {s.vertex_count}"
+        )
+    return DrillLevel(dc, fine, types)
+
+
+@dataclass(frozen=True, eq=False)
 class DrillContext:
     """Shared towers for drilling one spine repeatedly."""
 
     spine: SpineComplex
-    d1: DerivedComplex  # t   -> T'
-    d2: DerivedComplex  # T'  -> T''
-    d3: DerivedComplex  # T'' -> T'''
-    spine2: Complex  # spine re-expressed in T'''
-    baseline_types: dict[str, int]  # vertex of spine2 -> type
+    d1: DerivedComplex  # t -> T'
+    level2: DrillLevel  # the spine in T''
+
+    @cached_property
+    def level3(self) -> DrillLevel:
+        """The spine in T''', built on the first drill along a locus whose
+        lift to T' is not full."""
+        return _level(self.level2.dc.complex, self.level2.spine, self.spine)
 
 
 @dataclass(frozen=True, eq=False)
 class DrillResult:
-    complex: Complex  # drilled polyhedron, subcomplex of T'''
+    complex: Complex  # drilled polyhedron, in T'' (in T''' for a non-full lift)
     neighborhood: Complex  # R, the regular neighborhood of k
     frontier: Complex
     vertices_before: int
@@ -61,21 +92,7 @@ def prepare(s: SpineComplex) -> DrillContext:
     if s.cell_type is None:
         s = assign_types(s)
     d1 = s.derived
-    d2 = derived(d1.complex)
-    d3 = derived(d2.complex)
-    spine_cx = s.as_complex()
-    spine2 = derived_image(d3, derived_image(d2, spine_cx))
-    d = s.ambient.dim
-    if d <= 3:
-        baseline = classify_all_links(spine2, d)
-        count = sum(1 for t in baseline.values() if t == 0)
-        if count != s.vertex_count:
-            raise InvariantViolation(
-                f"re-expressed spine has {count} vertices, expected {s.vertex_count}"
-            )
-    else:
-        baseline = {}
-    return DrillContext(s, d1, d2, d3, spine2, baseline)
+    return DrillContext(s, d1, _level(d1.complex, s.as_complex(), s))
 
 
 def _lift_to_prime(ctx: DrillContext, k: Complex) -> Complex:
@@ -92,20 +109,26 @@ def _lift_to_prime(ctx: DrillContext, k: Complex) -> Complex:
 
 
 def frontier_of(region: Complex, locus: Complex) -> Complex:
-    """Frontier of the star ``region`` of ``locus`` in T''': the faces of
-    the star that miss the locus's vertices, i.e. the link of the locus.
+    """Frontier of the star ``region`` of ``locus`` in a derived
+    subdivision K' of K: the faces of the star that miss the locus's
+    vertices, i.e. the link of the locus.
 
-    The frontier is the set of star faces with a coface in T''' outside
-    the star.  This equals the link when the locus is the derived image
-    L''' of a subcomplex L'' of T'' that is full in T'' (true of any
-    derived image, such as the image of a subcomplex of T').  A face
-    meeting L''' has only cofaces meeting L''', all in the star.  A face
-    of T''' that contains a vertex (w) with w not in L'' lies outside the
-    star: every chain through (w) consists of faces containing w, none in
-    L''.  So a star face f missing L''' is a chain whose least element mu
-    is not in L'' and is not such a vertex; by fullness mu has a vertex w
-    not in L'', with (w) a proper face of mu, and f plus (w) is a coface
-    of f outside the star.
+    The frontier is the set of star faces with a coface in K' outside the
+    star.  This equals the link when the locus is the derived image L' of
+    a subcomplex L of K that is full in K.  A face meeting L' has only
+    cofaces meeting L', all in the star.  A face of K' that contains a
+    vertex (w) with w a vertex of K not in L lies outside the star: every
+    chain through (w) consists of faces containing w, none in L.  So let f
+    be a star face missing L', a chain of faces of K none in L, with least
+    element mu.  As f lies in the star, f plus some (sigma) with sigma in
+    L is a chain; sigma lies below mu (above it, mu would be in L), so mu
+    is not a vertex.  By fullness mu has a vertex w not in L, (w) is a
+    proper face of mu, and f plus (w) is a coface of f outside the star.
+
+    ``drill`` uses this with K = T' when the lift of its locus to T' is
+    full there (a vertex always is), and otherwise with K = T'' and L the
+    lift's image in T'', full as every derived image is: a chain whose
+    elements are faces of a subcomplex is a face of its derived image.
     """
     vs = set(locus.vertices)
     return Complex(frozenset(f for f in region.faces if vs.isdisjoint(f)))
@@ -113,12 +136,28 @@ def frontier_of(region: Complex, locus: Complex) -> Complex:
 
 def drill(ctx: DrillContext, k: Complex) -> DrillResult:
     """Drill the spine along k: remove the open regular neighborhood of k
-    and add its frontier."""
+    and add its frontier.
+
+    Let kp be the lift of k to T'.  If kp is full in T', the simplicial
+    neighborhood of its image in T'' is a derived neighborhood of kp, hence
+    a regular neighborhood (Rourke and Sanderson, Ch. 3), with the link of
+    the image as frontier (``frontier_of``); the spine and its vertex types
+    are read in T''.  Otherwise kp's image in T'' is full in T'', and the
+    same construction runs one level up, on the spine re-expressed in T'''
+    (built on first use).  Regular neighborhoods are unique up to PL
+    homeomorphism fixing the locus, so both levels give PL homeomorphic
+    drilled polyhedra, with the same vertex count.
+    """
     kp = _lift_to_prime(ctx, k)
-    rn = regular_neighborhood(kp, ctx.d1.complex)
-    fr = frontier_of(rn, derived_image(ctx.d3, derived_image(ctx.d2, kp)))
+    if subcomplex_spanned(ctx.d1.complex, kp.vertices) == kp:  # kp is full
+        level, base_locus = ctx.level2, kp
+    else:
+        level, base_locus = ctx.level3, derived_image(ctx.level2.dc, kp)
+    locus = derived_image(level.dc, base_locus)
+    rn = star(locus, level.dc.complex)
+    fr = frontier_of(rn, locus)
     faces = frozenset(
-        f for f in ctx.spine2.faces if f not in rn.faces
+        f for f in level.spine.faces if f not in rn.faces
     ) | fr.faces
     result = Complex(faces)
     d = ctx.spine.ambient.dim
@@ -126,7 +165,7 @@ def drill(ctx: DrillContext, k: Complex) -> DrillResult:
     if d <= 3:
         outside = sum(
             1
-            for v, t in ctx.baseline_types.items()
+            for v, t in level.types.items()
             if t == 0 and (v,) not in rn.faces
         )
         # links of the frontier vertices in one pass over the drilled faces
@@ -197,7 +236,7 @@ class CutReport:
     vertices_after: int
     non_increase_predicted: bool
     non_increase_holds: bool
-    result: Complex
+    result: Complex  # the drilled spine; the spine in T'' for an empty surface
 
 
 def cut_along_hypersurface(
@@ -215,7 +254,7 @@ def cut_along_hypersurface(
         raise ValueError("hypersurface cutting requires ambient dimension >= 3")
     if surface.is_empty:
         return CutReport(
-            s.vertex_count, s.vertex_count, True, True, ctx.spine2
+            s.vertex_count, s.vertex_count, True, True, ctx.level2.spine
         )
     spine_cx = s.as_complex()
     if not spine_cx.has_subcomplex(surface):

@@ -132,6 +132,14 @@ class TestCommands:
         assert res.exit_code == 0
         assert res.output.count("vertices 0 -> 0") == 2
 
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_drill_needs_a_point(self, runner, points):
+        res = runner.invoke(main, ["drill", "--name", "S2_tetra", "--partition",
+                                   "discrete", "--points", points])
+        assert res.exit_code == 1
+        assert res.stdout == ""
+        assert "--points must be at least 1" in res.stderr
+
     def test_report(self, runner):
         res = invoke(runner, ["report", "--name", "T2_7"])
         assert res.exit_code == 0

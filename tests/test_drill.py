@@ -1,4 +1,6 @@
+import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,11 @@ from plspines.core import (
     derived_image,
     face_link,
     from_facets,
+    join,
+    link,
     regular_neighborhood,
+    star,
+    subcomplex_spanned,
 )
 from plspines.drill import (
     cut_along_hypersurface,
@@ -29,6 +35,7 @@ from plspines.recognize import boundary_complex
 from plspines.spine import dual_spine
 from plspines.strata import (
     assign_types,
+    classify_all_links,
     classify_point_link,
     spine_vertex_count_from_links,
 )
@@ -64,7 +71,7 @@ class TestDrillSurface:
     def test_cells_outside_neighborhood_unchanged(self, equator_ctx):
         res = drill(equator_ctx, Complex(frozenset({("(v0)",)})))
         outside = {
-            f for f in equator_ctx.spine2.faces if f not in res.neighborhood.faces
+            f for f in equator_ctx.level2.spine.faces if f not in res.neighborhood.faces
         }
         assert outside <= res.complex.faces
 
@@ -159,6 +166,11 @@ class TestFrontierIsLink:
         rn = regular_neighborhood(k, t)
         locus = derived_image(d2, derived_image(d1, k))
         assert frontier_of(rn, locus).faces == _coface_frontier(rn, d2.complex).faces
+        # one level down: the star in T' of the image of a full subcomplex
+        full = subcomplex_spanned(t, k.vertices)
+        locus = derived_image(d1, full)
+        rn = star(locus, d1.complex)
+        assert frontier_of(rn, locus).faces == _coface_frontier(rn, d1.complex).faces
 
     @pytest.mark.parametrize("name", catalogue_names())
     def test_sampled_drills_on_catalogue(self, name, pentachoron_drill_ctx):
@@ -171,19 +183,108 @@ class TestFrontierIsLink:
             ctx = prepare(assign_types(dual_spine(t, p)))
         for k in sample_drill_points(ctx, 3, seed=1):
             res = drill(ctx, k)
-            expected = _coface_frontier(res.neighborhood, ctx.d3.complex)
+            expected = _coface_frontier(res.neighborhood, ctx.level2.dc.complex)
             assert res.frontier.faces == expected.faces
-            assert res.vertices_after == _face_link_count(ctx, res)
+            assert res.vertices_after == _face_link_count(ctx.level2, res, t.dim)
 
 
-def _face_link_count(ctx, res) -> int:
+def _face_link_count(level, res, d) -> int:
     """The oracle: the vertex count with each frontier link from face_link."""
-    d = ctx.spine.ambient.dim
     outside = sum(
-        1 for v, tp in ctx.baseline_types.items()
+        1 for v, tp in level.types.items()
         if tp == 0 and (v,) not in res.neighborhood.faces
     )
     return outside + sum(
         1 for v in res.frontier.vertices
         if classify_point_link(face_link((v,), res.complex), d) == 0
     )
+
+
+class _ThirdDerivedDrill:
+    """The oracle: drilling as it was done in T''' for every locus.
+
+    The neighbourhood is ``regular_neighborhood(kp, T')``, the spine and
+    its vertex types are read in T''', the frontier is the link of the
+    locus's image there, and each frontier vertex is classified from
+    ``face_link`` in the drilled complex.
+    """
+
+    def __init__(self, ctx):
+        self.tp = ctx.d1.complex
+        self.d2 = derived(self.tp)
+        self.d3 = derived(self.d2.complex)
+        self.dim = ctx.spine.ambient.dim
+        self.spine = derived_image(self.d3, derived_image(self.d2, ctx.spine.as_complex()))
+        self.types = classify_all_links(self.spine, self.dim)
+
+    def vertices_after(self, kp):
+        rn = regular_neighborhood(kp, self.tp)
+        fr = link(derived_image(self.d3, derived_image(self.d2, kp)), self.d3.complex)
+        drilled = Complex(frozenset(f for f in self.spine.faces if f not in rn.faces) | fr.faces)
+        outside = sum(1 for v, tp in self.types.items() if tp == 0 and (v,) not in rn.faces)
+        return outside + sum(
+            1 for v in fr.vertices
+            if classify_point_link(face_link((v,), drilled), self.dim) == 0
+        )
+
+
+def _circle(prefix):
+    return from_facets([[f"{prefix}0", f"{prefix}1"], [f"{prefix}1", f"{prefix}2"],
+                        [f"{prefix}0", f"{prefix}2"]])
+
+
+CLOSED = [n for n in catalogue_names() if boundary_complex(named_triangulation(n)).is_empty]
+
+
+def _closed_ctx(name, pentachoron_drill_ctx):
+    if name == "S3_pentachoron":
+        return pentachoron_drill_ctx
+    t = join(_circle("a"), _circle("b")) if name == "S1*S1" else named_triangulation(name)
+    return prepare(assign_types(dual_spine(t, discrete(t))))
+
+
+class TestDrillAgainstThirdDerived:
+    @pytest.mark.parametrize("name", CLOSED + ["S1*S1"])
+    def test_every_prime_vertex(self, name, pentachoron_drill_ctx):
+        # every vertex of T', on and off the spine's 1-skeleton, including
+        # those where drilling changes the count
+        ctx = _closed_ctx(name, pentachoron_drill_ctx)
+        oracle = _ThirdDerivedDrill(ctx)
+        for v in ctx.d1.complex.vertices:
+            kp = Complex(frozenset({(v,)}))
+            assert drill(ctx, kp).vertices_after == oracle.vertices_after(kp), v
+        assert "level3" not in vars(ctx)
+
+    @pytest.mark.parametrize("name", ["S2_tetra", "S2_oct", "S3_pentachoron"])
+    def test_non_full_locus_drills_in_third_derived(self, name, pentachoron_drill_ctx):
+        # the three edges of a T' triangle, without the triangle
+        ctx = _closed_ctx(name, pentachoron_drill_ctx)
+        tri = ctx.d1.complex.faces_of_dim(2)[0]
+        kp = closure(ctx.d1.complex, itertools.combinations(tri, 2))
+        assert subcomplex_spanned(ctx.d1.complex, kp.vertices) != kp  # not full
+        res = drill(ctx, kp)
+        level = ctx.level3
+        assert res.complex.faces <= level.dc.complex.faces
+        assert res.vertices_after == _ThirdDerivedDrill(ctx).vertices_after(kp)
+        assert res.vertices_after == _face_link_count(level, res, ctx.spine.ambient.dim)
+        if ctx.spine.ambient.dim == 2:
+            expected = _coface_frontier(res.neighborhood, level.dc.complex)
+            assert res.frontier.faces == expected.faces
+
+
+def test_point_drills_never_build_third_derived(monkeypatch, pentachoron_spine):
+    t2 = derived(pentachoron_spine.derived.complex).complex
+    seen = []
+
+    def spy(cx):
+        seen.append(cx)
+        return derived(cx)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("plspines") and getattr(mod, "derived", None) is derived:
+            monkeypatch.setattr(mod, "derived", spy)
+    ctx = prepare(pentachoron_spine)
+    for k in sample_drill_points(ctx, 20, seed=0):
+        assert drill(ctx, k).vertices_after == 5
+    assert seen and all(cx != t2 for cx in seen)
+    assert "level3" not in vars(ctx)

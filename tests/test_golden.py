@@ -46,6 +46,8 @@ JOBS = [
         0,
     ),
     ("report_S3_pentachoron", ["report", "--name", "S3_pentachoron"], 0),
+    ("drill_S2_oct", ["drill", "--name", "S2_oct", "--partition", "discrete", "--points", "5"], 0),
+    ("drill_T2_7", ["drill", "--name", "T2_7", "--partition", "discrete", "--points", "5"], 0),
     ("nerve_S2_oct", ["nerve", "--name", "S2_oct", "--partition", "discrete"], 0),
 ]
 
