@@ -25,7 +25,7 @@ from plspines.core import (
 )
 from plspines.partitions import VertexPartition, vertex_partition
 from plspines.spine import SpineComplex, dual_spine, verify_spine, regions
-from plspines.search import SearchBudget, search_min_vertices
+from plspines.search import search_min_vertices
 
 __all__ = [
     "Complex",
@@ -49,6 +49,5 @@ __all__ = [
     "dual_spine",
     "verify_spine",
     "regions",
-    "SearchBudget",
     "search_min_vertices",
 ]

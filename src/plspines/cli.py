@@ -15,11 +15,10 @@ import click
 
 from plspines import io as pio
 from plspines.core import Complex, InvariantViolation, derived
-from plspines.homology import betti_all, enumerate_normal_discs
 from plspines.models import named_triangulation
 from plspines.partitions import VertexPartition, discrete, one_vs_rest, single_class
 from plspines.recognize import euler_characteristic
-from plspines.search import SearchBudget, search_min_vertices
+from plspines.search import search_min_vertices
 from plspines.spine import dual_spine, verify_spine
 from plspines.strata import assign_types, stratum_components
 
@@ -83,7 +82,8 @@ def _write_out(out: str | None, text: str) -> None:
 @click.group()
 @click.option("--seed", type=int, default=0, show_default=True, help="RNG seed.")
 @click.option("--budget", type=int, default=100_000, show_default=True,
-              help="Search cap: exhaustive below it, annealing steps above.")
+              help="Search cap: exhaustive when 2**(vertex count) fits it, "
+              "else the discrete partition.")
 @click.option("--out", type=str, default=None, help="Optional output file.")
 @click.pass_context
 def main(ctx: click.Context, seed: int, budget: int, out: str | None):
@@ -195,14 +195,12 @@ def strata(in_path, name, partition_arg):
 @click.option("--in", "in_path", type=str, default=None)
 @click.option("--name", type=str, default=None)
 @click.option("--exhaustive", is_flag=True, help="Require a proven-exhaustive search.")
-@click.option("--jobs", type=int, default=1, show_default=True)
 @click.pass_context
-def search(ctx, in_path, name, exhaustive, jobs):
+def search(ctx, in_path, name, exhaustive):
     """Minimize the spine vertex count over certified partitions."""
     t, _ = _read_input(in_path, name)
-    budget = SearchBudget(exhaustive_cap=ctx.obj["budget"], steps=ctx.obj["budget"])
     try:
-        res = search_min_vertices(t, budget, seed=ctx.obj["seed"], jobs=jobs)
+        res = search_min_vertices(t, ctx.obj["budget"], seed=ctx.obj["seed"])
     except ValueError as e:
         _fail(str(e), EXIT_INPUT)
     except InvariantViolation as e:
@@ -258,9 +256,9 @@ def nerve(in_path, name, partition_arg):
 def homology(in_path, name, kdim):
     """Betti numbers over the two-element field."""
     cx, _ = _read_input(in_path, name)
-    if kdim is not None:
-        from plspines.homology import betti
+    from plspines.homology import betti, betti_all
 
+    if kdim is not None:
         click.echo(f"betti[{kdim}]: {betti(cx, kdim)}")
     else:
         bs = betti_all(cx)
@@ -271,6 +269,8 @@ def homology(in_path, name, kdim):
 @click.option("--n", "n", type=int, required=True)
 def normal_discs(n):
     """Census of normal discs in the (n+1)-simplex."""
+    from plspines.homology import enumerate_normal_discs
+
     try:
         discs = enumerate_normal_discs(n)
     except ValueError as e:
@@ -335,6 +335,7 @@ def report(ctx, in_path, name, partition_arg):
     checks, and homology, as one summary."""
     t, inherited = _read_input(in_path, name)
     p = _resolve_partition(t, partition_arg, inherited)
+    from plspines.homology import betti_all
     from plspines.nerve import nerve as nerve_fn
     from plspines.nerve import nerve_checks
 

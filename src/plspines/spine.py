@@ -27,7 +27,7 @@ from plspines.core import (
     subcomplex_spanned,
 )
 from plspines.partitions import VertexPartition
-from plspines.recognize import boundary_complex, is_pure
+from plspines.recognize import boundary_complex, euler_characteristic, is_pure
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,6 +199,28 @@ def certify_region_component(
         ok = collapses_to_point(comp, seed=seed)
         kind = "ball"
     return kind, ok, len(comp.faces)
+
+
+def certify_class(t: Complex, cls: frozenset[str], seed: int = 0) -> bool:
+    """Ball certificate for the region of one class of a closed manifold.
+
+    The region is a regular neighborhood of the span of the class, so each
+    region component deformation-retracts onto a span component, and it
+    is a ball when that span component is collapsible (Whitehead;
+    Rourke-Sanderson, Cor. 3.27).  A span component whose Euler
+    characteristic is not 1 is an exact "no"; if every span component
+    collapses the answer is "yes"; otherwise the regions in T'' are
+    certified instead, so no answer is worse than theirs.
+    """
+    comps = connected_components(subcomplex_spanned(t, cls))
+    if any(euler_characteristic(c) != 1 for c in comps):
+        return False
+    if all(collapses_to_point(c, seed=seed) for c in comps):
+        return True
+    return all(
+        collapses_to_point(comp, seed=seed)
+        for comp in connected_components(region_of_class(t, cls))
+    )
 
 
 def verify_spine(t: Complex, p: VertexPartition, seed: int = 0) -> SpineCertificate:

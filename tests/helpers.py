@@ -51,3 +51,35 @@ def random_partition_blocks(rng: random.Random, labels, max_classes: int | None 
     for v in labels:
         blocks[rng.randrange(k)].append(v)
     return [b for b in blocks if b]
+
+
+def set_partitions(items: tuple[str, ...]):
+    """All set partitions, in restricted-growth-string order."""
+    n = len(items)
+
+    def rec(i: int, blocks: list[list[str]]):
+        if i == n:
+            yield [list(b) for b in blocks]
+            return
+        x = items[i]
+        for b in blocks:
+            b.append(x)
+            yield from rec(i + 1, blocks)
+            b.pop()
+        blocks.append([x])
+        yield from rec(i + 1, blocks)
+        blocks.pop()
+
+    yield from rec(0, [])
+
+
+def region_certified(t: Complex, cls) -> bool:
+    """The T'' certificate of a class: every region component collapses."""
+    from plspines.collapse import collapses_to_point
+    from plspines.core import connected_components
+    from plspines.spine import region_of_class
+
+    return all(
+        collapses_to_point(comp)
+        for comp in connected_components(region_of_class(t, frozenset(cls)))
+    )

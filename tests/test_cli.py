@@ -16,6 +16,13 @@ def runner():
     return CliRunner()
 
 
+def _env(**extra):
+    """The environment for a subprocess that imports this checkout."""
+    src = str(Path(plspines.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **extra}
+
+
 def invoke(runner, args, **kw):
     return runner.invoke(main, args, catch_exceptions=False, **kw)
 
@@ -52,14 +59,8 @@ class TestPipeline:
             f"{cli} dual-spine --partition discrete | "
             f"{cli} verify-spine"
         )
-        src = str(Path(plspines.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         out = subprocess.run(
-            ["bash", "-c", shell],
-            capture_output=True,
-            text=True,
-            timeout=120,
-            env={**os.environ, "PYTHONPATH": path},
+            ["bash", "-c", shell], capture_output=True, text=True, timeout=120, env=_env()
         )
         assert out.returncode == 0
         assert "certificate: yes" in out.stdout
@@ -183,3 +184,24 @@ class TestDeterminism:
         a = invoke(runner, args)
         b = invoke(runner, args)
         assert a.output == b.output
+
+    @pytest.mark.parametrize(
+        "args", [["search", "--name", "genus2_10"], ["report", "--name", "T2_7"]]
+    )
+    def test_stdout_independent_of_hash_seed(self, args):
+        outs = [
+            subprocess.run(
+                [sys.executable, "-m", "plspines", *args], capture_output=True, text=True,
+                timeout=120, env=_env(PYTHONHASHSEED=seed), check=True,
+            ).stdout
+            for seed in ("1", "4242")
+        ]
+        assert outs[0] == outs[1]
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # numpy is imported only by the subcommands that compute homology
+    code = "import sys, plspines.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=120, env=_env(), check=True)
+    assert out.stdout == "False\n"

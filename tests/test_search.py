@@ -1,21 +1,22 @@
+import functools
+
 import pytest
 
-from plspines.models import named_triangulation
-from plspines.search import (
-    SearchBudget,
-    bell_number,
-    search_min_vertices,
-    set_partitions,
-)
-
-
-def test_bell_numbers():
-    assert [bell_number(n) for n in range(8)] == [1, 1, 2, 5, 15, 52, 203, 877]
+from plspines.models import boundary_sphere, named_triangulation
+from plspines.partitions import discrete, vertex_partition
+from plspines.search import search_min_vertices
+from plspines.spine import vertex_count
+from helpers import region_certified, set_partitions
 
 
 def test_set_partitions_count():
     items = tuple("abcd")
     assert sum(1 for _ in set_partitions(items)) == 15
+
+
+def test_set_partitions_match_bell_numbers():
+    counts = [sum(1 for _ in set_partitions(tuple("abcdefg")[:n])) for n in range(8)]
+    assert counts == [1, 1, 2, 5, 15, 52, 203, 877]
 
 
 def test_sphere_best_zero(sphere2):
@@ -30,36 +31,40 @@ def test_open_manifold_rejected():
         search_min_vertices(disc)
 
 
-def test_annealing_deterministic(sphere2):
-    budget = SearchBudget(exhaustive_cap=1, steps=300, restarts=2)
-    a = search_min_vertices(sphere2, budget, seed=5)
-    b = search_min_vertices(sphere2, budget, seed=5)
-    assert not a.proven_exhaustive
-    assert a.best_count == b.best_count
-    assert a.best_partition == b.best_partition
+def _brute_force(t):
+    """Least (count, canonical key) over every set partition whose classes
+    all pass the T'' region certificate."""
+    ok = functools.lru_cache(maxsize=None)(lambda cls: region_certified(t, cls))
+    best = None
+    for blocks in set_partitions(t.vertices):
+        p = vertex_partition(t, blocks)
+        if all(ok(c) for c in p.classes):
+            cand = (vertex_count(t, p), p.canonical_key())
+            best = cand if best is None or cand < best else best
+    return best
 
 
-def test_annealing_monotone_under_budget(sphere2):
-    small = SearchBudget(exhaustive_cap=1, steps=100, restarts=1)
-    big = SearchBudget(exhaustive_cap=1, steps=800, restarts=1)
-    a = search_min_vertices(sphere2, small, seed=3)
-    b = search_min_vertices(sphere2, big, seed=3)
-    assert b.best_count <= a.best_count
+@pytest.mark.parametrize(
+    "name", ["boundary_sphere(2)", "S2_tetra", "S2_oct", "RP2_6", "T2_7", "S3_pentachoron"]
+)
+def test_class_first_equals_brute_force(name):
+    t = boundary_sphere(2) if name == "boundary_sphere(2)" else named_triangulation(name)
+    res = search_min_vertices(t)
+    assert res.proven_exhaustive
+    assert (res.best_count, res.best_partition.canonical_key()) == _brute_force(t)
 
 
-def test_annealing_falls_back_to_discrete(torus7):
-    # tiny budget: the discrete partition is always kept as a candidate
-    budget = SearchBudget(exhaustive_cap=1, steps=20, restarts=1)
-    res = search_min_vertices(torus7, budget, seed=0)
-    assert res.best_partition is not None
+def test_cap_is_compared_with_the_subset_count(torus7):
+    n = len(torus7.vertices)
+    assert search_min_vertices(torus7, cap=2**n).proven_exhaustive
+    assert not search_min_vertices(torus7, cap=2**n - 1).proven_exhaustive
 
 
-def test_parallel_jobs_deterministic(sphere2):
-    budget = SearchBudget(exhaustive_cap=1, steps=200, restarts=2)
-    a = search_min_vertices(sphere2, budget, seed=1, jobs=2)
-    b = search_min_vertices(sphere2, budget, seed=1, jobs=2)
-    assert a.best_count == b.best_count
-    assert a.best_partition == b.best_partition
-
-    odd = SearchBudget(exhaustive_cap=1, steps=201, restarts=2)
-    assert search_min_vertices(sphere2, odd, seed=1, jobs=2).partitions_examined == 200
+@pytest.mark.parametrize("name", ["T2_7", "S3_pentachoron"])
+def test_above_cap_returns_discrete(name):
+    t = named_triangulation(name)
+    res = search_min_vertices(t, cap=1)
+    assert not res.proven_exhaustive
+    assert res.best_partition == discrete(t)
+    assert res.best_count == len(t.facets)
+    assert res.partitions_examined == 1

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -7,13 +8,15 @@ from plspines.core import from_facets
 from plspines.models import dual_cells_direct, named_triangulation
 from plspines.partitions import discrete, one_vs_rest, single_class, vertex_partition
 from plspines.recognize import euler_characteristic
+from plspines import spine
 from plspines.spine import (
+    certify_class,
     dual_spine,
     regions,
     vertex_count,
     verify_spine,
 )
-from helpers import random_partition_blocks, random_pure_complex
+from helpers import random_partition_blocks, random_pure_complex, region_certified
 
 
 class TestDualSpine:
@@ -151,3 +154,35 @@ class TestVerifySpine:
         assert cert.certificate == "yes"
         kinds = sorted(r.kind for r in cert.region_reports)
         assert kinds == ["ball", "collar"]
+
+
+def _all_classes(t):
+    verts = t.vertices
+    for r in range(1, len(verts) + 1):
+        yield from map(frozenset, itertools.combinations(verts, r))
+
+
+class TestCertifyClass:
+    @pytest.mark.parametrize("name", ["T2_7", "RP2_6", "genus2_10", "S3_pentachoron", "S2_oct"])
+    def test_agrees_with_region_certificate(self, name):
+        t = named_triangulation(name)
+        for cls in _all_classes(t):
+            assert certify_class(t, cls) == region_certified(t, cls), sorted(cls)
+
+    def test_span_answers_every_genus2_class(self, monkeypatch):
+        # 833 classes have a span component with chi != 1, the other 190
+        # spans collapse: no class needs its region in T''
+        t = named_triangulation("genus2_10")
+        built = []
+        monkeypatch.setattr(spine, "region_of_class", lambda *a: built.append(a))
+        assert sum(certify_class(t, cls) for cls in _all_classes(t)) == 190
+        assert built == []
+
+    def test_stuck_span_falls_back_to_region(self, monkeypatch):
+        # the whole RP2_6 spans a closed surface: chi 1 and no free pair
+        t = named_triangulation("RP2_6")
+        built = []
+        orig = spine.region_of_class
+        monkeypatch.setattr(spine, "region_of_class", lambda *a: built.append(a) or orig(*a))
+        assert not certify_class(t, frozenset(t.vertices))
+        assert built == [(t, frozenset(t.vertices))]
