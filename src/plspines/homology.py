@@ -1,12 +1,16 @@
 """Chain complexes over the two-element field, normal discs, and the
-hypersurface-homology correspondence on simple polyhedra."""
+hypersurface-homology correspondence on simple polyhedra.
+
+Matrices over GF(2) are bit-packed, one Python int per column: bit r of
+column j is entry (r, j).  Boundaries are built straight from the face
+index, ranks and kernels come from one column reduction keyed by each
+column's lowest set bit, and no dense matrix is ever built.
+"""
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-
-import numpy as np
 
 from plspines.core import Complex, Face, InvariantViolation, closure
 from plspines.models import LocalModel, dual_model, simplex
@@ -17,59 +21,74 @@ from plspines.recognize import is_closed_curve, is_closed_surface, ridge_inciden
 # -- GF(2) linear algebra -----------------------------------------------------
 
 
-def gf2_row_reduce(M: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over GF(2); returns (R, pivot columns)."""
-    R = (np.asarray(M, dtype=np.uint8) % 2).copy()
-    rows, cols = R.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        hits = np.nonzero(R[r:, c])[0]
-        if hits.size == 0:
-            continue
-        pivot = r + int(hits[0])
-        if pivot != r:
-            R[[r, pivot]] = R[[pivot, r]]
-        others = np.nonzero(R[:, c])[0]
-        others = others[others != r]
-        R[others] ^= R[r]
-        pivots.append(c)
-        r += 1
-    return R, pivots
+class GF2Matrix:
+    """A rows x len(columns) matrix over GF(2); column j is the int whose
+    bit r is entry (r, j)."""
+
+    __slots__ = ("rows", "columns")
+
+    def __init__(self, rows: int, columns: list[int]):
+        self.rows = rows
+        self.columns = columns
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.rows, len(self.columns)
+
+    @property
+    def size(self) -> int:
+        return self.rows * len(self.columns)
 
 
-def gf2_rank(M: np.ndarray) -> int:
-    if M.size == 0:
-        return 0
-    return len(gf2_row_reduce(M)[1])
+def _bits(x: int):
+    """Indices of the set bits of x, lowest first."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
 
 
-def gf2_kernel_basis(M: np.ndarray) -> np.ndarray:
-    """Basis of the null space of M over GF(2), rows are basis vectors."""
-    rows, cols = M.shape
-    if cols == 0:
-        return np.zeros((0, 0), dtype=np.uint8)
-    if rows == 0:
-        return np.eye(cols, dtype=np.uint8)
-    R, pivots = gf2_row_reduce(M)
-    pivot_set = set(pivots)
-    free = [c for c in range(cols) if c not in pivot_set]
-    basis = np.zeros((len(free), cols), dtype=np.uint8)
-    for i, fc in enumerate(free):
-        basis[i, fc] = 1
-        for r, pc in enumerate(pivots):
-            if R[r, fc]:
-                basis[i, pc] = 1
-    return basis
+def _reduce(M: GF2Matrix) -> tuple[int, list[int]]:
+    """Column-reduce M by lowest set bit; return (rank, kernel basis).
+
+    Each column is XORed with the stored reduced column whose lowest bit
+    matches its own until its lowest bit is new (a pivot) or it vanishes.
+    The combination of original columns behind each reduced column is
+    tracked (bit j means column j), and every vanished column gives its
+    combination as a kernel vector: cols - rank of them, independent since
+    the one from column j has j as its highest bit.
+    """
+    pivots: dict[int, tuple[int, int]] = {}
+    kernel: list[int] = []
+    for j, col in enumerate(M.columns):
+        combo = 1 << j
+        while col:
+            low = col & -col
+            hit = pivots.get(low)
+            if hit is None:
+                pivots[low] = (col, combo)
+                break
+            col ^= hit[0]
+            combo ^= hit[1]
+        else:
+            kernel.append(combo)
+    return len(pivots), kernel
+
+
+def gf2_rank(M: GF2Matrix) -> int:
+    return _reduce(M)[0]
+
+
+def gf2_kernel_basis(M: GF2Matrix) -> list[int]:
+    """Basis of the null space of M over GF(2); bit j of a vector is column j."""
+    return _reduce(M)[1]
 
 
 # -- chain complexes ----------------------------------------------------------
 
 
 class Z2ChainComplex:
-    """Per-dimension face bases and boundary matrices over GF(2)."""
+    """Per-dimension face bases and bit-packed boundary matrices over GF(2)."""
 
     def __init__(self, cx: Complex):
         self.complex = cx
@@ -79,17 +98,16 @@ class Z2ChainComplex:
         self.index: list[dict[Face, int]] = [
             {f: i for i, f in enumerate(b)} for b in self.bases
         ]
-        self.boundaries: list[np.ndarray] = []
-        for k in range(cx.dim + 1):
-            nk = len(self.bases[k])
-            nk1 = len(self.bases[k - 1]) if k > 0 else 0
-            M = np.zeros((nk1, nk), dtype=np.uint8)
-            if k > 0:
-                idx = self.index[k - 1]
-                for j, f in enumerate(self.bases[k]):
-                    for s in itertools.combinations(f, k):
-                        M[idx[s], j] ^= 1
-            self.boundaries.append(M)
+        self.boundaries: list[GF2Matrix] = [GF2Matrix(0, [0] * len(self.bases[0]))]
+        for k in range(1, cx.dim + 1):
+            idx = self.index[k - 1]
+            columns = []
+            for f in self.bases[k]:
+                col = 0
+                for s in itertools.combinations(f, k):
+                    col ^= 1 << idx[s]
+                columns.append(col)
+            self.boundaries.append(GF2Matrix(len(self.bases[k - 1]), columns))
         self._ranks: dict[int, int] = {}
         self._check_dd()
 
@@ -97,17 +115,16 @@ class Z2ChainComplex:
         """Raise unless every product of consecutive boundaries vanishes.
 
         Column j of the product of the boundaries in degrees k-1 and k is
-        the XOR of the degree-(k-1) columns at the nonzero rows of column j
-        of the degree-k boundary; columns are Python-int bitsets, so the
-        cost is the number of incidences, not the matrix sizes.
+        the XOR of the degree-(k-1) columns at the set bits of column j of
+        the degree-k boundary, so the cost is the number of incidences, not
+        the matrix sizes.
         """
-        supports = [_column_supports(M) for M in self.boundaries]
-        for k in range(2, len(supports)):
-            bits = [sum(1 << r for r in rows) for rows in supports[k - 1]]
-            for rows in supports[k]:
+        for k in range(2, len(self.boundaries)):
+            below = self.boundaries[k - 1].columns
+            for col in self.boundaries[k].columns:
                 acc = 0
-                for r in rows:
-                    acc ^= bits[r]
+                for r in _bits(col):
+                    acc ^= below[r]
                 if acc:
                     raise InvariantViolation("boundary of boundary is nonzero")
 
@@ -123,15 +140,6 @@ class Z2ChainComplex:
         if k < 0 or k > self.complex.dim:
             return 0
         return len(self.bases[k]) - self.rank(k) - self.rank(k + 1)
-
-
-def _column_supports(M: np.ndarray) -> list[list[int]]:
-    """Rows of the odd entries of each column of M."""
-    out: list[list[int]] = [[] for _ in range(M.shape[1])]
-    cols, rows = np.nonzero(M.T & 1)
-    for c, r in zip(cols.tolist(), rows.tolist()):
-        out[c].append(r)
-    return out
 
 
 def betti(cx: Complex, k: int) -> int:
@@ -164,15 +172,12 @@ def top_cycle_supports(cx: Complex) -> list[frozenset[Face]]:
     basis = gf2_kernel_basis(ch.boundaries[top])
     faces = ch.bases[top]
     supports = []
-    for bits in itertools.product((0, 1), repeat=basis.shape[0]):
-        if basis.shape[0] == 0:
-            vec = np.zeros(len(faces), dtype=np.uint8)
-        else:
-            vec = np.zeros(len(faces), dtype=np.uint8)
-            for b, row in zip(bits, basis):
-                if b:
-                    vec ^= row
-        supports.append(frozenset(f for f, x in zip(faces, vec) if x))
+    for picks in itertools.product((False, True), repeat=len(basis)):
+        vec = 0
+        for pick, v in zip(picks, basis):
+            if pick:
+                vec ^= v
+        supports.append(frozenset(faces[i] for i in _bits(vec)))
     return sorted(set(supports), key=lambda s: (len(s), sorted(s)))
 
 

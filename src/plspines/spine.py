@@ -10,6 +10,7 @@ independent oracle (see :func:`plspines.models.dual_cells_direct`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 from plspines.collapse import collapses_onto, collapses_to_point
@@ -122,7 +123,12 @@ class RegionDecomposition:
     ambient: Complex
     second: DerivedComplex
     regions: tuple[tuple[frozenset[str], Complex], ...]
-    spine_neighborhood: Complex
+
+    @cached_property
+    def spine_neighborhood(self) -> Complex:
+        """Closure of the faces of T'' outside every region; built when read."""
+        covered = set().union(*(mv.faces for _, mv in self.regions))
+        return Complex(closure_faces(f for f in self.second.complex.faces if f not in covered))
 
 
 def region_of_class(t: Complex, cls: frozenset[str]) -> Complex:
@@ -154,13 +160,7 @@ def regions(t: Complex, p: VertexPartition, check_boundary: bool = True) -> Regi
             raise InvariantViolation("regions of distinct classes intersect")
         covered |= mv.faces
         out.append((cls, mv))
-    rest = (f for f in d2.complex.faces if f not in covered)
-    return RegionDecomposition(
-        ambient=t,
-        second=d2,
-        regions=tuple(out),
-        spine_neighborhood=Complex(closure_faces(rest)),
-    )
+    return RegionDecomposition(ambient=t, second=d2, regions=tuple(out))
 
 
 # -- spine certificate -------------------------------------------------------
@@ -211,6 +211,12 @@ def certify_class(t: Complex, cls: frozenset[str], seed: int = 0) -> bool:
     characteristic is not 1 is an exact "no"; if every span component
     collapses the answer is "yes"; otherwise the regions in T'' are
     certified instead, so no answer is worse than theirs.
+
+    A span that gets stuck (Euler characteristic 1, no free face) is not an
+    exact "no" in dimension 3: a contractible 2-complex with no free face,
+    such as the dunce hat or Bing's house, can still have a 3-ball as its
+    regular neighbourhood, and that region can collapse.  So a stuck span
+    falls back to the region rather than answering "no".
     """
     comps = connected_components(subcomplex_spanned(t, cls))
     if any(euler_characteristic(c) != 1 for c in comps):

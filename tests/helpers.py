@@ -1,8 +1,11 @@
-"""Seeded random generators shared by the test modules."""
+"""Seeded random generators and oracles shared by the test modules."""
 
 import random
 
+import numpy as np
+
 from plspines.core import Complex, SimplicialMap, from_facets
+from plspines.homology import GF2Matrix
 
 
 def random_complex(rng: random.Random, max_vertices: int = 8, max_facets: int = 6,
@@ -83,3 +86,41 @@ def region_certified(t: Complex, cls) -> bool:
         collapses_to_point(comp)
         for comp in connected_components(region_of_class(t, frozenset(cls)))
     )
+
+
+def gf2_row_reduce(M: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """The dense oracle: reduced row echelon form over GF(2); returns
+    (R, pivot columns)."""
+    R = (np.asarray(M, dtype=np.uint8) % 2).copy()
+    rows, cols = R.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        hits = np.nonzero(R[r:, c])[0]
+        if hits.size == 0:
+            continue
+        pivot = r + int(hits[0])
+        if pivot != r:
+            R[[r, pivot]] = R[[pivot, r]]
+        others = np.nonzero(R[:, c])[0]
+        others = others[others != r]
+        R[others] ^= R[r]
+        pivots.append(c)
+        r += 1
+    return R, pivots
+
+
+def to_dense(M: GF2Matrix) -> np.ndarray:
+    """The bit-packed matrix as a dense 0/1 array."""
+    rows, cols = M.shape
+    return np.array([[(c >> r) & 1 for c in M.columns] for r in range(rows)],
+                    dtype=np.uint8).reshape(rows, cols)
+
+
+def from_dense(D) -> GF2Matrix:
+    """A 0/1 array (or nested lists) as a bit-packed matrix."""
+    D = np.asarray(D, dtype=np.uint8)
+    rows, cols = D.shape
+    return GF2Matrix(rows, [sum(int(D[r, c]) << r for r in range(rows)) for c in range(cols)])

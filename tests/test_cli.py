@@ -200,8 +200,25 @@ class TestDeterminism:
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    # numpy is imported only by the subcommands that compute homology
     code = "import sys, plspines.cli; print('numpy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          timeout=120, env=_env(), check=True)
     assert out.stdout == "False\n"
+
+
+def test_homology_and_report_leave_numpy_unloaded():
+    # GF(2) homology runs on bit-packed int columns, so no subcommand needs numpy
+    code = (
+        "import sys\n"
+        "from plspines.cli import main\n"
+        "for args in (['homology', '--name', 'T2_7'], ['report', '--name', 'T2_7']):\n"
+        "    try:\n"
+        "        main.main(args=args, prog_name='plspines')\n"
+        "    except SystemExit as e:\n"
+        "        assert not e.code, (args, e.code)\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=120, env=_env(), check=True)
+    assert out.stdout.count("betti: 1 2 1\n") == 2
+    assert out.stdout.splitlines()[-1] == "False"

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from plspines.core import InvariantViolation, from_facets
 from plspines.homology import (
+    GF2Matrix,
     Z2ChainComplex,
     betti,
     betti_all,
@@ -20,23 +21,57 @@ from plspines.homology import (
 from plspines.collapse import collapses_to_point
 from plspines.models import pi_boundary
 from plspines.recognize import is_closed_curve, is_closed_pseudomanifold, is_closed_surface
-from helpers import random_complex
+from helpers import from_dense, gf2_row_reduce, random_complex, to_dense
 
 # Fixed example sequence: the suite's data does not change between runs.
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
+def _kernel_rows(K: list[int], cols: int) -> np.ndarray:
+    """Kernel vectors (bit j is column j) as the rows of a dense array."""
+    return np.array([[(v >> j) & 1 for j in range(cols)] for v in K],
+                    dtype=np.uint8).reshape(len(K), cols)
+
+
 class TestGF2:
     def test_rank(self):
-        M = np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]], dtype=np.uint8)
+        M = from_dense([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
         assert gf2_rank(M) == 2
 
     def test_kernel(self):
-        M = np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]], dtype=np.uint8)
-        K = gf2_kernel_basis(M)
+        M = from_dense([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+        K = _kernel_rows(gf2_kernel_basis(M), 3)
         assert K.shape[0] == 1
-        assert not ((M @ K.T) % 2).any()
+        assert not ((to_dense(M) @ K.T) % 2).any()
+
+
+def _assert_agrees_with_oracle(M: GF2Matrix) -> None:
+    D = to_dense(M)
+    rank = gf2_rank(M)
+    assert rank == len(gf2_row_reduce(D)[1])
+    K = _kernel_rows(gf2_kernel_basis(M), D.shape[1])
+    assert K.shape[0] == D.shape[1] - rank
+    assert not ((D.astype(np.int64) @ K.T) % 2).any()
+    assert len(gf2_row_reduce(K)[1]) == K.shape[0]  # independent
+
+
+@PROPERTY
+@given(seeds, st.integers(min_value=0, max_value=12), st.integers(min_value=0, max_value=12))
+def test_rank_and_kernel_agree_with_dense_oracle_on_random_matrices(seed, rows, cols):
+    rng = random.Random(seed)
+    density = rng.random()
+    M = GF2Matrix(rows, [
+        sum(1 << r for r in range(rows) if rng.random() < density) for _ in range(cols)
+    ])
+    _assert_agrees_with_oracle(M)
+
+
+@PROPERTY
+@given(seeds)
+def test_rank_and_kernel_agree_with_dense_oracle_on_boundaries(seed):
+    for M in Z2ChainComplex(random_complex(random.Random(seed))).boundaries:
+        _assert_agrees_with_oracle(M)
 
 
 class TestBetti:
@@ -77,20 +112,21 @@ class TestBoundarySquaredCheck:
     def test_one_flipped_entry_is_caught(self, sphere3, k, pick):
         ch = Z2ChainComplex(sphere3)
         M = ch.boundaries[k]
-        rows, cols = np.nonzero(M if pick == "incidence" else 1 - M)
+        D = to_dense(M)
+        rows, cols = np.nonzero(D if pick == "incidence" else 1 - D)
         for i in range(0, len(rows), max(1, len(rows) // 7)):
-            r, c = rows[i], cols[i]
-            M[r, c] ^= 1
+            r, c = int(rows[i]), int(cols[i])
+            M.columns[c] ^= 1 << r
             with pytest.raises(InvariantViolation, match="boundary of boundary"):
                 ch._check_dd()
-            M[r, c] ^= 1
+            M.columns[c] ^= 1 << r
         ch._check_dd()
 
 
 def _dense_dd_is_zero(boundaries) -> bool:
     """The oracle: products of consecutive boundaries as dense matrices."""
     return all(
-        not ((boundaries[k - 1].astype(np.int64) @ boundaries[k]) % 2).any()
+        not ((to_dense(boundaries[k - 1]).astype(np.int64) @ to_dense(boundaries[k])) % 2).any()
         for k in range(2, len(boundaries))
     )
 
@@ -104,7 +140,8 @@ def test_sparse_dd_check_agrees_with_dense_product(seed, flips):
         k = rng.randrange(1, len(ch.boundaries)) if len(ch.boundaries) > 1 else 0
         M = ch.boundaries[k]
         if M.size:
-            M[rng.randrange(M.shape[0]), rng.randrange(M.shape[1])] ^= 1
+            r, c = rng.randrange(M.shape[0]), rng.randrange(M.shape[1])
+            M.columns[c] ^= 1 << r
     try:
         ch._check_dd()
         sparse_zero = True
