@@ -336,8 +336,7 @@ def report(ctx, in_path, name, partition_arg):
     t, inherited = _read_input(in_path, name)
     p = _resolve_partition(t, partition_arg, inherited)
     from plspines.homology import betti_all
-    from plspines.nerve import nerve as nerve_fn
-    from plspines.nerve import nerve_checks
+    from plspines.nerve import component_poset, nerve_checks, nerve_of_poset
 
     if name:
         click.echo(f"manifold: {name}")
@@ -357,7 +356,7 @@ def report(ctx, in_path, name, partition_arg):
     for k in range(d):
         click.echo(f"type {k} components: {sum(1 for c in comps if c.type == k)}")
     click.echo(f"regions: {sum(1 for c in comps if c.type == d)}")
-    np_ = nerve_fn(t, p)
+    np_ = nerve_of_poset(t, component_poset(comps))
     click.echo(f"nerve dim: {np_.nerve.dim}")
     rep = nerve_checks(np_, s.vertex_count, d)
     click.echo(f"nerve-0or2: {'pass' if rep.pseudomanifold_ok else 'FAIL'}")

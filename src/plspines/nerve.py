@@ -9,7 +9,10 @@ component holding that face's interior; the nerve is the Stein middle of
 the derived map T''' -> (pre-nerve)'.  Stein runs on the face poset of the
 source, T'' here: the vertices of T''' are the faces of T'' and its faces
 are their chains, so fibers and middle are read off T'' and T''' is not
-built (proofs at ``stein``).
+built.  Inside ``stein`` faces and middle vertices are int ids ranked by
+their labels, chain images are int bitmasks, and only the chains ending
+at facets are closed under subsets; labels return at the output (proofs
+and layout at ``stein``).
 """
 
 from __future__ import annotations
@@ -63,6 +66,30 @@ class SteinFactorization:
         return SimplicialMap(src, self.middle, self.h_assignment)
 
 
+def _facet_chain_images(
+    layers: list[list[int]], below: list[list[int]], covered: bytearray, h: list[int]
+) -> set[int]:
+    """h-images of the saturated chains ending at facets, as bitmasks.
+
+    Faces come in layers by size, each face with its codim-1 subfaces in
+    ``below``; ``covered`` marks the faces that are such a subface.  The
+    images ending at t are those ending below t with h(t) added, so one
+    layer is kept at a time.
+    """
+    tops: set[int] = set()
+    chains: dict[int, set[int]] = {}
+    for layer in layers:
+        prev, chains = chains, {}
+        for t in layer:
+            bit = 1 << h[t]
+            cs = {c | bit for s in below[t] for c in prev[s]} or {bit}
+            if covered[t]:
+                chains[t] = cs
+            else:
+                tops |= cs
+    return tops
+
+
 def stein(f: SimplicialMap) -> SteinFactorization:
     """Stein factorization of the derived map f' of f, read off the face
     poset of the source without building its derived complex.
@@ -72,7 +99,7 @@ def stein(f: SimplicialMap) -> SteinFactorization:
     faces, and f' sends (s) to (f(s)).  Middle vertices are the connected
     components of the fibers of f', labelled ``w/i`` for the i-th
     component over w in order of least vertex; middle faces are the
-    h-images of chains.  Three facts:
+    h-images of chains.  Four facts:
 
     1. Fibers.  If s < t and f(s) = f(t), every face between them has
        that image too, since images are monotone: f(s) <= f(r) <= f(t).
@@ -85,52 +112,71 @@ def stein(f: SimplicialMap) -> SteinFactorization:
        the closure of the h-images of those.  The images of the saturated
        chains ending at t are those ending at the codim-1 faces of t, each
        with h(t) added.
-    3. Checks.  g is validated as a simplicial map and g o h = f' is
+    3. Facets suffice.  A saturated chain ending at t extends, one vertex
+       at a time, to a saturated chain ending at a facet F >= t, and its
+       image only grows.  So the middle is the closure of the images at
+       the facets alone; no purity is needed.  A face is a facet exactly
+       when it is no codim-1 subface of another face, since downward
+       closure puts a codim-1 step below any proper coface.
+    4. Checks.  g is validated as a simplicial map and g o h = f' is
        checked on every vertex.  Every middle face is h(c) for a chain c,
        so f'(c) = g(h(c)) is a face: together the two checks re-prove
        that f' is simplicial.
+
+    Layout: faces of the source are ints, numbered in the order of their
+    derived labels, so the least id of a fiber component, its
+    ``_UnionFind`` root, is its least label.  Middle vertices are ints
+    numbered in the order of their ``w/i`` labels, and a chain image is
+    an int bitmask over them; its set bits, lowest first, are a sorted
+    middle face.  Labels come back only for ``middle``, ``g`` and ``h``.
     """
     src = f.source
     dtgt = derived(f.target)
     label = derived_labels(src)
-    img = {s: f.image(s) for s in src.faces}
-    a = {label[s]: dtgt.vertex_of_face[img[s]] for s in src.faces}  # f'
-
-    uf = _UnionFind(a)
-    for t in src.faces_sorted:
-        if len(t) > 1:
-            for s in itertools.combinations(t, len(t) - 1):
-                if img[s] == img[t]:
-                    uf.union(label[s], label[t])
-    g_assign: dict[str, str] = {}
-    root_label: dict[str, str] = {}
+    faces = sorted(label, key=label.__getitem__)
+    n = len(faces)
+    fid = {s: i for i, s in enumerate(faces)}
+    a = [dtgt.vertex_of_face[f.image(s)] for s in faces]  # f'
+    below: list[list[int]] = []  # codim-1 subfaces
+    covered = bytearray(n)  # 1 for a codim-1 subface of some face
+    layers: list[list[int]] = [[] for _ in range(src.dim + 1)]  # by size
+    uf = _UnionFind(range(n))
+    for t, face in enumerate(faces):
+        layers[len(face) - 1].append(t)
+        # a vertex has one "codim-1 subface", the empty tuple, which is dropped
+        ids = [fid[s] for s in itertools.combinations(face, len(face) - 1) if s]
+        below.append(ids)
+        for s in ids:
+            covered[s] = 1
+            if a[s] == a[t]:
+                uf.union(s, t)
+    root = [uf.find(v) for v in range(n)]
+    names: dict[int, str] = {}  # fiber component root -> its w/i label
     per_target: dict[str, int] = {}
-    for v in sorted(a):  # each root is the least vertex of its component
-        if uf.find(v) == v:
+    for v in range(n):
+        if root[v] == v:
             i = per_target.get(a[v], 0)
             per_target[a[v]] = i + 1
-            root_label[v] = f"{a[v]}/{i}"
-            g_assign[root_label[v]] = a[v]
-    h_assign = {v: root_label[uf.find(v)] for v in a}
+            names[v] = f"{a[v]}/{i}"
+    mlabels = sorted(names.values())
+    mid = {lab: m for m, lab in enumerate(mlabels)}
+    h = [mid[names[r]] for r in root]
 
-    # h-images of the saturated chains from a vertex up to each face
-    chains: dict[Face, set[frozenset[str]]] = {}
-    for t in src.faces_sorted:
-        m = h_assign[label[t]]
-        if len(t) == 1:
-            chains[t] = {frozenset((m,))}
-        else:
-            chains[t] = {
-                c | {m}
-                for s in itertools.combinations(t, len(t) - 1)
-                for c in chains[s]
-            }
-    middle = Complex(
-        closure_faces(tuple(sorted(c)) for cs in chains.values() for c in cs)
-    )
+    top_faces = []
+    for c in _facet_chain_images(layers, below, covered, h):
+        face = []
+        while c:
+            low = c & -c
+            face.append(mlabels[low.bit_length() - 1])
+            c ^= low
+        top_faces.append(tuple(face))
+    middle = Complex(closure_faces(top_faces))
+
+    g_assign = {lab: a[r] for r, lab in names.items()}
     g = SimplicialMap(middle, dtgt.complex, g_assign)
-    for v, w in a.items():
-        if g_assign[h_assign[v]] != w:
+    h_assign = {label[s]: mlabels[m] for s, m in zip(faces, h)}
+    for m, w in zip(h, a):
+        if g_assign[mlabels[m]] != w:
             raise InvariantViolation("Stein factorization does not compose to f'")
     return SteinFactorization(src, h_assign, g, middle)
 
@@ -259,7 +305,8 @@ def _prenerve_map(t: Complex, poset: ComponentPoset) -> SimplicialMap:
     return SimplicialMap(dtt.complex, pn, assign)
 
 
-def _nerve_from_poset(t: Complex, poset: ComponentPoset) -> NervePair:
+def nerve_of_poset(t: Complex, poset: ComponentPoset) -> NervePair:
+    """The nerve of the pair whose components (as cells of T') make up poset."""
     pn_map = _prenerve_map(t, poset)
     sf = stein(pn_map)
     return NervePair(
@@ -277,7 +324,7 @@ def prenerve(t: Complex, p: VertexPartition) -> NervePair:
 
 def nerve(t: Complex, p: VertexPartition) -> NervePair:
     poset = spine_component_poset(assign_types(dual_spine(t, p)))
-    return _nerve_from_poset(t, poset)
+    return nerve_of_poset(t, poset)
 
 
 def prenerve_of_pair(t: Complex, k: Complex) -> NervePair:
@@ -287,7 +334,7 @@ def prenerve_of_pair(t: Complex, k: Complex) -> NervePair:
 
 def nerve_of_pair(t: Complex, k: Complex) -> NervePair:
     poset = pair_component_poset(t, k)
-    return _nerve_from_poset(t, poset)
+    return nerve_of_poset(t, poset)
 
 
 # -- nerve theorems as checks ----------------------------------------------------
@@ -344,29 +391,3 @@ def nerve_checks(np_: NervePair, vertex_count: int, ambient_dim: int) -> NerveRe
         failures=tuple(failures),
     )
 
-
-def rainbow_top_chain_count(t: Complex, poset: ComponentPoset) -> int:
-    """Independent count of the top chains that map onto top nerve simplexes.
-
-    Enumerates top simplexes of T''' directly (full chains of T''-faces) and
-    keeps those whose component images form d+1 pairwise distinct faces of
-    the pre-nerve; the nerve map is injective there, so this count must equal
-    the number of top nerve simplexes.  Uses only the component assignment,
-    not the Stein machinery.
-    """
-    dt = derived(t)
-    dtt = derived(dt.complex)
-    d3 = derived(dtt.complex)
-    d = t.dim
-    comp = poset.cell_component
-    count = 0
-    for face in d3.complex.faces:
-        if len(face) != d + 1:
-            continue
-        images = {
-            frozenset(comp[cell] for cell in dtt.chain_of(c2))
-            for c2 in d3.chain_of(face)
-        }
-        if len(images) == d + 1:
-            count += 1
-    return count

@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 
-from plspines.core import Complex, SimplicialMap, from_facets
+from plspines.core import Complex, SimplicialMap, derived, from_facets
 from plspines.homology import GF2Matrix
 
 
@@ -86,6 +86,33 @@ def region_certified(t: Complex, cls) -> bool:
         collapses_to_point(comp)
         for comp in connected_components(region_of_class(t, frozenset(cls)))
     )
+
+
+def rainbow_top_chain_count(t: Complex, poset) -> int:
+    """The oracle for the top nerve simplexes, counted on T''' itself.
+
+    Enumerates top simplexes of T''' directly (full chains of T''-faces) and
+    keeps those whose component images form d+1 pairwise distinct faces of
+    the pre-nerve; the nerve map is injective there, so this count must equal
+    the number of top nerve simplexes.  Uses only the component assignment
+    of the ``ComponentPoset``, not the Stein machinery.
+    """
+    dt = derived(t)
+    dtt = derived(dt.complex)
+    d3 = derived(dtt.complex)
+    d = t.dim
+    comp = poset.cell_component
+    count = 0
+    for face in d3.complex.faces:
+        if len(face) != d + 1:
+            continue
+        images = {
+            frozenset(comp[cell] for cell in dtt.chain_of(c2))
+            for c2 in d3.chain_of(face)
+        }
+        if len(images) == d + 1:
+            count += 1
+    return count
 
 
 def gf2_row_reduce(M: np.ndarray) -> tuple[np.ndarray, list[int]]:

@@ -23,7 +23,6 @@ from plspines.nerve import (
     nerve_checks,
     nerve_of_pair,
     prenerve_of_pair,
-    rainbow_top_chain_count,
     stein,
     stein_checks,
 )
@@ -32,7 +31,7 @@ from plspines.recognize import is_closed_curve, is_closed_pseudomanifold
 from plspines.search import search_min_vertices
 from plspines.spine import dual_spine, verify_spine
 from plspines.strata import assign_types, validate_types_against_links
-from helpers import random_partition_blocks, random_simplicial_map
+from helpers import rainbow_top_chain_count, random_partition_blocks, random_simplicial_map
 
 CLOSED_CATALOGUE = (
     "S1_triangle",

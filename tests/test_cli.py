@@ -186,7 +186,13 @@ class TestDeterminism:
         assert a.output == b.output
 
     @pytest.mark.parametrize(
-        "args", [["search", "--name", "genus2_10"], ["report", "--name", "T2_7"]]
+        "args",
+        [
+            ["search", "--name", "genus2_10"],
+            ["report", "--name", "T2_7"],
+            # the nerve of a 3-manifold: Stein orders by computed ranks
+            ["report", "--name", "S3_pentachoron"],
+        ],
     )
     def test_stdout_independent_of_hash_seed(self, args):
         outs = [

@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 
 import plspines.nerve
 from plspines.core import (
+    Complex,
     SimplicialMap,
     _UnionFind,
+    canonical_face,
     derived,
     derived_map,
     from_facets,
@@ -20,18 +22,19 @@ from plspines.nerve import (
     nerve,
     nerve_checks,
     nerve_of_pair,
+    pair_component_poset,
     prenerve,
     prenerve_of_pair,
-    rainbow_top_chain_count,
     spine_component_poset,
     stein,
     stein_checks,
 )
-from plspines.partitions import discrete
+from plspines.partitions import discrete, one_vs_rest, single_class
 from plspines.recognize import is_closed_curve
+from plspines.search import search_min_vertices
 from plspines.spine import dual_spine, vertex_count
 from plspines.strata import assign_types
-from helpers import random_simplicial_map
+from helpers import rainbow_top_chain_count, random_simplicial_map
 
 
 class TestStein:
@@ -117,20 +120,59 @@ def _assert_matches_oracle(f: SimplicialMap):
     assert sf.middle.faces == middle
 
 
+# Labels where one is a prefix of another: "(a,b)" sorts before "(ab)",
+# so label order differs from the (size, labels) order of the faces.
+PREFIX_LABELS = ("a", "a0", "ab", "b", "b0", "ba", "c", "c0")
+
+
+def _relabelled(f: SimplicialMap, rng: random.Random) -> SimplicialMap:
+    """f with source and target vertices renamed to PREFIX_LABELS."""
+
+    def rename(cx: Complex) -> tuple[Complex, dict[str, str]]:
+        new = dict(zip(cx.vertices, rng.sample(PREFIX_LABELS, len(cx.vertices))))
+        return Complex(canonical_face(new[v] for v in face) for face in cx.faces), new
+
+    src, src_name = rename(f.source)
+    tgt, tgt_name = rename(f.target)
+    return SimplicialMap(src, tgt, {src_name[v]: tgt_name[w] for v, w in f.assignment.items()})
+
+
+def _optimum(t):
+    return search_min_vertices(t).best_partition
+
+
 class TestSteinOnFacePoset:
     # Fixed example sequence: the suite's data does not change between runs.
     @settings(derandomize=True, database=None, deadline=None, max_examples=200)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_random_maps_match_derived_source(self, seed):
-        f = random_simplicial_map(random.Random(seed), max_source_faces=40)
-        _assert_matches_oracle(f)
-        assert dict(stein(f).h.assignment) == _stein_on_derived_source(f)[0]
+        rng = random.Random(seed)
+        f = random_simplicial_map(rng, max_source_faces=40)
+        for g in (f, _relabelled(f, rng)):
+            _assert_matches_oracle(g)
+            assert dict(stein(g).h.assignment) == _stein_on_derived_source(g)[0]
 
-    @pytest.mark.parametrize("name", ["T2_7", "RP2_6", "S3_pentachoron"])
-    def test_discrete_prenerve_maps_match_derived_source(self, name):
+    @pytest.mark.parametrize("name, partition", [
+        pytest.param("T2_7", discrete, id="T2_7"),
+        pytest.param("RP2_6", discrete, id="RP2_6"),
+        pytest.param("S3_pentachoron", discrete, id="S3_pentachoron"),
+        # fibers that merge many T'' faces
+        pytest.param("T2_7", single_class, id="T2_7-single"),
+        pytest.param("S3_pentachoron", one_vs_rest, id="S3_pentachoron-one_vs_rest"),
+        pytest.param("genus2_10", _optimum, id="genus2_10-optimum"),
+    ])
+    def test_discrete_prenerve_maps_match_derived_source(self, name, partition):
         t = named_triangulation(name)
-        poset = spine_component_poset(assign_types(dual_spine(t, discrete(t))))
+        poset = spine_component_poset(assign_types(dual_spine(t, partition(t))))
         _assert_matches_oracle(_prenerve_map(t, poset))
+
+    def test_pair_prenerve_map_matches_derived_source(self):
+        # the nerve of a circle and a point is a circle over a segment: two
+        # fiber components over each interior vertex, named w/0 and w/1
+        t = named_triangulation("S1_triangle")
+        f = _prenerve_map(t, pair_component_poset(t, from_facets([["a"]])))
+        _assert_matches_oracle(f)
+        assert any(m.endswith("/1") for m in stein(f).middle.vertices)
 
     def test_nerve_never_builds_third_derived(self, monkeypatch):
         t = named_triangulation("S3_pentachoron")
