@@ -2,13 +2,19 @@
 
 Commands print deterministic text reports; complexes travel between
 pipelined commands in the canonical text format (with an optional inline
-partition section).  Exit codes: 0 success, 1 input error, 2 a certificate
-or check did not pass, 3 an internal invariant was violated (a theorem
-check failed, which means a bug).
+partition section).  Commands on a pair (complex, partition) take
+``--in``/``--name`` and ``--partition``; the partition is ``--partition``
+if given, else the one piped in with the complex, else the command's
+default (``discrete`` for ``report``; the others exit 1).  Exit codes,
+mapped once by the command group for every command: 0 success, 1 input
+error, 2 a certificate or check did not pass, 3 an internal invariant was
+violated (a theorem check failed, which means a bug).  Errors print
+``error: <message>`` on stderr.
 """
 
 from __future__ import annotations
 
+import functools
 import sys
 
 import click
@@ -16,19 +22,21 @@ import click
 from plspines import io as pio
 from plspines.core import Complex, InvariantViolation, derived
 from plspines.models import named_triangulation
-from plspines.partitions import VertexPartition, discrete, one_vs_rest, single_class
+from plspines.partitions import (
+    VertexPartition,
+    discrete,
+    one_vs_rest,
+    single_class,
+    vertex_partition,
+)
 from plspines.recognize import euler_characteristic
 from plspines.search import search_min_vertices
-from plspines.spine import dual_spine, verify_spine
-from plspines.strata import assign_types, stratum_components
+from plspines.spine import dual_spine, verify_spine, vertex_count
+from plspines.strata import stratum_components
 
 EXIT_INPUT = 1
 EXIT_CHECK = 2
 EXIT_BUG = 3
-
-
-class CliError(click.ClickException):
-    exit_code = EXIT_INPUT
 
 
 def _fail(msg: str, code: int) -> None:
@@ -36,41 +44,76 @@ def _fail(msg: str, code: int) -> None:
     sys.exit(code)
 
 
+class _Commands(click.Group):
+    """The command group; maps errors to exit codes for every command."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except InvariantViolation as e:
+            _fail(str(e), EXIT_BUG)
+        except ValueError as e:
+            _fail(str(e), EXIT_INPUT)
+
+
+def _read_file(path: str) -> str:
+    """Text of an input file; an unreadable file is an input error."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as e:
+        raise ValueError(str(e)) from e
+
+
 def _read_input(in_path: str | None, name: str | None):
-    """Load (complex, optional partition) from --in, --name, or stdin."""
-    try:
-        if name is not None:
-            return named_triangulation(name), None
-        if in_path is not None:
-            with open(in_path) as fh:
-                return pio.parse_combined(fh.read())
-        data = sys.stdin.read()
-        return pio.parse_combined(data)
-    except (OSError, ValueError) as e:
-        _fail(str(e), EXIT_INPUT)
+    """Load (complex, optional partition) from --name, --in, or stdin."""
+    if name is not None:
+        return named_triangulation(name), None
+    return pio.parse_combined(_read_file(in_path) if in_path is not None else sys.stdin.read())
 
 
-def _resolve_partition(t: Complex, spec: str | None, inherited) -> VertexPartition:
-    if spec is None:
-        if inherited is not None:
-            return inherited
-        _fail("no partition given (use --partition)", EXIT_INPUT)
-    try:
-        if spec == "discrete":
-            return discrete(t)
-        if spec == "single":
-            return single_class(t)
-        if spec == "one-vs-rest":
-            return one_vs_rest(t)
-        if "|" in spec or "," in spec:
-            classes = [c.split(",") for c in spec.split("|")]
-            from plspines.partitions import vertex_partition
+_NAMED_PARTITIONS = {"discrete": discrete, "single": single_class, "one-vs-rest": one_vs_rest}
 
-            return vertex_partition(t, [[v for v in c if v] for c in classes])
-        with open(spec) as fh:
-            return pio.parse_partition(fh.read(), t)
-    except (OSError, ValueError) as e:
-        _fail(str(e), EXIT_INPUT)
+
+def _parse_partition(t: Complex, spec: str) -> VertexPartition:
+    if spec in _NAMED_PARTITIONS:
+        return _NAMED_PARTITIONS[spec](t)
+    if "|" in spec or "," in spec:
+        classes = [c.split(",") for c in spec.split("|")]
+        return vertex_partition(t, [[v for v in c if v] for c in classes])
+    return pio.parse_partition(_read_file(spec), t)
+
+
+def pair_input(default: str | None = None):
+    """Give a command --in, --name and --partition; it is called with the
+    complex and partition in place of those three options.
+
+    The partition is --partition if given, else the piped one, else
+    ``default``; with none of them the command exits 1.
+    """
+    fallback = "the piped one" + (f", else {default}" if default else "")
+
+    def decorate(fn):
+        @click.option("--in", "in_path", type=str, default=None)
+        @click.option("--name", type=str, default=None)
+        @click.option("--partition", "partition_arg", type=str, default=None,
+                      help=f"Vertex partition; default: {fallback}.")
+        @functools.wraps(fn)
+        def command(*args, in_path, name, partition_arg, **kwargs):
+            t, piped = _read_input(in_path, name)
+            if partition_arg is not None:
+                p = _parse_partition(t, partition_arg)
+            elif piped is not None:
+                p = piped
+            elif default is not None:
+                p = _parse_partition(t, default)
+            else:
+                raise ValueError("no partition given (use --partition)")
+            return fn(*args, t, p, **kwargs)
+
+        return command
+
+    return decorate
 
 
 def _write_out(out: str | None, text: str) -> None:
@@ -79,7 +122,21 @@ def _write_out(out: str | None, text: str) -> None:
             fh.write(text)
 
 
-@click.group()
+def _echo_strata(comps, d: int) -> None:
+    """Count the stratum components of each type; type d are the regions."""
+    for k in range(d):
+        click.echo(f"type {k} components: {sum(1 for c in comps if c.type == k)}")
+    click.echo(f"regions: {sum(1 for c in comps if c.type == d)}")
+
+
+def _echo_nerve_checks(rep) -> None:
+    click.echo(f"nerve-0or2: {'pass' if rep.pseudomanifold_ok else 'FAIL'}")
+    click.echo(
+        f"nerve-dim-iff-vertices: {'pass' if rep.dim_iff_vertices_ok else 'FAIL'}"
+    )
+
+
+@click.group(cls=_Commands)
 @click.option("--seed", type=int, default=0, show_default=True, help="RNG seed.")
 @click.option("--budget", type=int, default=100_000, show_default=True,
               help="Search cap: exhaustive when 2**(vertex count) fits it, "
@@ -96,11 +153,7 @@ def main(ctx: click.Context, seed: int, budget: int, out: str | None):
 @click.pass_context
 def gen(ctx, name: str):
     """Emit a catalogued triangulation in the canonical format."""
-    try:
-        cx = named_triangulation(name)
-    except ValueError as e:
-        _fail(str(e), EXIT_INPUT)
-    text = pio.format_complex(cx, comments=[f"name: {name}"])
+    text = pio.format_complex(named_triangulation(name), comments=[f"name: {name}"])
     click.echo(text, nl=False)
     _write_out(ctx.obj["out"], text)
 
@@ -120,19 +173,12 @@ def subdivide(ctx, in_path, times: int):
 
 
 @main.command("dual-spine")
-@click.option("--in", "in_path", type=str, default=None)
-@click.option("--name", type=str, default=None)
-@click.option("--partition", "partition_arg", type=str, default=None)
+@pair_input()
 @click.pass_context
-def dual_spine_cmd(ctx, in_path, name, partition_arg):
+def dual_spine_cmd(ctx, t, p):
     """Build the dual spine; emits the input with its partition for piping,
     report lines as comments, and writes the spine complex to --out."""
-    t, inherited = _read_input(in_path, name)
-    p = _resolve_partition(t, partition_arg, inherited)
-    try:
-        s = assign_types(dual_spine(t, p))
-    except ValueError as e:
-        _fail(str(e), EXIT_INPUT)
+    s = dual_spine(t, p)
     spine_cx = s.as_complex()
     comments = [
         f"spine cells: {len(spine_cx)}",
@@ -145,18 +191,11 @@ def dual_spine_cmd(ctx, in_path, name, partition_arg):
 
 
 @main.command("verify-spine")
-@click.option("--in", "in_path", type=str, default=None)
-@click.option("--name", type=str, default=None)
-@click.option("--partition", "partition_arg", type=str, default=None)
+@pair_input()
 @click.pass_context
-def verify_spine_cmd(ctx, in_path, name, partition_arg):
+def verify_spine_cmd(ctx, t, p):
     """Certify the spine by collapsing the complement regions."""
-    t, inherited = _read_input(in_path, name)
-    p = _resolve_partition(t, partition_arg, inherited)
-    try:
-        cert = verify_spine(t, p, seed=ctx.obj["seed"])
-    except ValueError as e:
-        _fail(str(e), EXIT_INPUT)
+    cert = verify_spine(t, p, seed=ctx.obj["seed"])
     click.echo(f"certificate: {cert.certificate}")
     click.echo(f"vertices: {cert.vertices}")
     for r in cert.region_reports:
@@ -170,25 +209,14 @@ def verify_spine_cmd(ctx, in_path, name, partition_arg):
 
 
 @main.command()
-@click.option("--in", "in_path", type=str, default=None)
-@click.option("--name", type=str, default=None)
-@click.option("--partition", "partition_arg", type=str, default=None)
-def strata(in_path, name, partition_arg):
+@pair_input()
+def strata(t, p):
     """Stratum components of the dual spine, by type."""
-    t, inherited = _read_input(in_path, name)
-    p = _resolve_partition(t, partition_arg, inherited)
-    try:
-        s = assign_types(dual_spine(t, p))
-    except ValueError as e:
-        _fail(str(e), EXIT_INPUT)
+    s = dual_spine(t, p)
     comps = stratum_components(s)
-    d = t.dim
     click.echo(f"spine cells: {len(s.cells)}")
     click.echo(f"vertices: {s.vertex_count}")
-    for k in range(d):
-        n = sum(1 for c in comps if c.type == k)
-        click.echo(f"type {k} components: {n}")
-    click.echo(f"regions: {sum(1 for c in comps if c.type == d)}")
+    _echo_strata(comps, t.dim)
 
 
 @main.command()
@@ -199,12 +227,7 @@ def strata(in_path, name, partition_arg):
 def search(ctx, in_path, name, exhaustive):
     """Minimize the spine vertex count over certified partitions."""
     t, _ = _read_input(in_path, name)
-    try:
-        res = search_min_vertices(t, ctx.obj["budget"], seed=ctx.obj["seed"])
-    except ValueError as e:
-        _fail(str(e), EXIT_INPUT)
-    except InvariantViolation as e:
-        _fail(str(e), EXIT_BUG)
+    res = search_min_vertices(t, ctx.obj["budget"], seed=ctx.obj["seed"])
     if exhaustive and not res.proven_exhaustive:
         _fail("budget too small for an exhaustive search", EXIT_CHECK)
     if res.best_partition is None:
@@ -222,31 +245,20 @@ def search(ctx, in_path, name, exhaustive):
 
 
 @main.command()
-@click.option("--in", "in_path", type=str, default=None)
-@click.option("--name", type=str, default=None)
-@click.option("--partition", "partition_arg", type=str, default=None)
-def nerve(in_path, name, partition_arg):
+@pair_input()
+def nerve(t, p):
     """Pre-nerve and nerve of the pair, with the structural checks."""
-    t, inherited = _read_input(in_path, name)
-    p = _resolve_partition(t, partition_arg, inherited)
     from plspines.nerve import nerve as nerve_fn
     from plspines.nerve import nerve_checks
-    from plspines.spine import vertex_count
 
-    try:
-        np_ = nerve_fn(t, p)
-    except ValueError as e:
-        _fail(str(e), EXIT_INPUT)
+    np_ = nerve_fn(t, p)
     click.echo(f"prenerve f-vector: {' '.join(map(str, np_.prenerve.f_vector()))}")
     click.echo(f"nerve f-vector: {' '.join(map(str, np_.nerve.f_vector()))}")
     click.echo(f"nerve dim: {np_.nerve.dim}")
     rep = nerve_checks(np_, vertex_count(t, p), t.dim)
-    click.echo(f"nerve-0or2: {'pass' if rep.pseudomanifold_ok else 'FAIL'}")
-    click.echo(f"nerve-dim-iff-vertices: {'pass' if rep.dim_iff_vertices_ok else 'FAIL'}")
+    _echo_nerve_checks(rep)
     if not rep.ok:
-        for f in rep.failures:
-            click.echo(f"failure: {f}", err=True)
-        sys.exit(EXIT_BUG)
+        raise InvariantViolation("; ".join(rep.failures))
 
 
 @main.command()
@@ -271,10 +283,7 @@ def normal_discs(n):
     """Census of normal discs in the (n+1)-simplex."""
     from plspines.homology import enumerate_normal_discs
 
-    try:
-        discs = enumerate_normal_discs(n)
-    except ValueError as e:
-        _fail(str(e), EXIT_INPUT)
+    discs = enumerate_normal_discs(n)
     from collections import Counter
 
     kinds = Counter(d.type for d in discs)
@@ -285,27 +294,19 @@ def normal_discs(n):
 
 
 @main.command()
-@click.option("--in", "in_path", type=str, default=None)
-@click.option("--name", type=str, default=None)
-@click.option("--partition", "partition_arg", type=str, default=None)
+@pair_input()
 @click.option("--points", type=int, default=1, show_default=True,
               help="Number of seeded off-1-skeleton drill points.")
 @click.pass_context
-def drill(ctx, in_path, name, partition_arg, points):
+def drill(ctx, t, p, points):
     """Drill the dual spine at seeded points off its 1-skeleton."""
     if points < 1:
-        _fail(f"--points must be at least 1, got {points}", EXIT_INPUT)
-    t, inherited = _read_input(in_path, name)
-    p = _resolve_partition(t, partition_arg, inherited)
+        raise ValueError(f"--points must be at least 1, got {points}")
     from plspines.drill import drill as drill_fn
     from plspines.drill import prepare, sample_drill_points
 
-    try:
-        s = assign_types(dual_spine(t, p))
-        ctx_d = prepare(s)
-        pts = sample_drill_points(ctx_d, points, seed=ctx.obj["seed"])
-    except ValueError as e:
-        _fail(str(e), EXIT_INPUT)
+    ctx_d = prepare(dual_spine(t, p))
+    pts = sample_drill_points(ctx_d, points, seed=ctx.obj["seed"])
     bad = 0
     for i, k in enumerate(pts):
         res = drill_fn(ctx_d, k)
@@ -321,51 +322,37 @@ def drill(ctx, in_path, name, partition_arg, points):
             f"{res.vertices_after}{status}"
         )
     if bad and t.dim >= 3:
-        _fail("off-skeleton drilling changed the vertex count", EXIT_BUG)
+        raise InvariantViolation("off-skeleton drilling changed the vertex count")
 
 
 @main.command()
-@click.option("--in", "in_path", type=str, default=None)
-@click.option("--name", type=str, default=None)
-@click.option("--partition", "partition_arg", type=str, default="discrete",
-              show_default=True)
+@pair_input(default="discrete")
 @click.pass_context
-def report(ctx, in_path, name, partition_arg):
+def report(ctx, t, p):
     """Full pipeline for one manifold: spine, certificate, strata, nerve,
     checks, and homology, as one summary."""
-    t, inherited = _read_input(in_path, name)
-    p = _resolve_partition(t, partition_arg, inherited)
     from plspines.homology import betti_all
     from plspines.nerve import component_poset, nerve_checks, nerve_of_poset
 
-    if name:
-        click.echo(f"manifold: {name}")
+    if ctx.params["name"]:
+        click.echo(f"manifold: {ctx.params['name']}")
     click.echo(f"dim: {t.dim}")
     click.echo(f"f-vector: {' '.join(map(str, t.f_vector()))}")
     click.echo(f"euler: {euler_characteristic(t)}")
     click.echo("partition: " + " | ".join(" ".join(c) for c in p.canonical_key()))
-    try:
-        s = assign_types(dual_spine(t, p))
-        cert = verify_spine(t, p, seed=ctx.obj["seed"])
-    except ValueError as e:
-        _fail(str(e), EXIT_INPUT)
+    s = dual_spine(t, p)
+    cert = verify_spine(t, p, seed=ctx.obj["seed"])
     click.echo(f"vertices: {s.vertex_count}")
     click.echo(f"certificate: {cert.certificate}")
     comps = stratum_components(s)
-    d = t.dim
-    for k in range(d):
-        click.echo(f"type {k} components: {sum(1 for c in comps if c.type == k)}")
-    click.echo(f"regions: {sum(1 for c in comps if c.type == d)}")
+    _echo_strata(comps, t.dim)
     np_ = nerve_of_poset(t, component_poset(comps))
     click.echo(f"nerve dim: {np_.nerve.dim}")
-    rep = nerve_checks(np_, s.vertex_count, d)
-    click.echo(f"nerve-0or2: {'pass' if rep.pseudomanifold_ok else 'FAIL'}")
-    click.echo(
-        f"nerve-dim-iff-vertices: {'pass' if rep.dim_iff_vertices_ok else 'FAIL'}"
-    )
+    rep = nerve_checks(np_, s.vertex_count, t.dim)
+    _echo_nerve_checks(rep)
     click.echo("betti: " + " ".join(map(str, betti_all(t))))
     if not rep.ok:
-        sys.exit(EXIT_BUG)
+        raise InvariantViolation("; ".join(rep.failures))
     if not cert.is_yes:
         sys.exit(EXIT_CHECK)
 

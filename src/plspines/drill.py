@@ -31,11 +31,7 @@ from plspines.core import (
     subcomplex_spanned,
 )
 from plspines.spine import SpineComplex
-from plspines.strata import (
-    assign_types,
-    classify_all_links,
-    classify_point_link,
-)
+from plspines.strata import classify_all_links, classify_point_link
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,8 +85,6 @@ class DrillResult:
 
 
 def prepare(s: SpineComplex) -> DrillContext:
-    if s.cell_type is None:
-        s = assign_types(s)
     d1 = s.derived
     return DrillContext(s, d1, _level(d1.complex, s.as_complex(), s))
 
@@ -194,8 +188,6 @@ def eligible_drill_vertices(ctx: DrillContext) -> tuple[str, ...]:
     """Vertices of T' off the spine's closed 1-skeleton and off the boundary:
     drilling there never changes the vertex count (ambient dim >= 3)."""
     s = ctx.spine
-    if s.cell_type is None:
-        s = assign_types(s)
     skel: set[str] = set()
     for cell, tp in s.cell_type.items():
         if tp <= 1:
@@ -241,7 +233,7 @@ class CutReport:
 
 def cut_along_hypersurface(
     ctx: DrillContext, surface: Complex
-) -> CutReport | DrillResult:
+) -> CutReport:
     """Drill the spine along a closed hypersurface contained in it.
 
     The surface must be a closed pseudomanifold union of closures of
@@ -266,11 +258,10 @@ def cut_along_hypersurface(
     # check: union of closures of top stratum components
     from plspines.strata import stratum_components
 
-    s_typed = assign_types(s) if s.cell_type is None else s
     top_dim = d - 1
     whole = True
     surf_tops = {f for f in surface.faces if len(f) == top_dim + 1}
-    for comp in stratum_components(s_typed):
+    for comp in stratum_components(s):
         if comp.type != top_dim:
             continue
         cells = {c for c in comp.cells if len(c) == top_dim + 1}

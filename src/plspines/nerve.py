@@ -36,12 +36,7 @@ from plspines.core import (
 )
 from plspines.partitions import VertexPartition
 from plspines.spine import SpineComplex, dual_spine
-from plspines.strata import (
-    StratumComponent,
-    assign_types,
-    complement_components,
-    stratum_components,
-)
+from plspines.strata import StratumComponent, complement_components, stratum_components
 
 
 # -- Stein factorization -----------------------------------------------------
@@ -211,9 +206,6 @@ class ComponentPoset:
     less: frozenset[tuple[str, str]]
     cell_component: Mapping[Face, str]
 
-    def label_of(self, comp_id: int) -> str:
-        return self.labels[comp_id]
-
 
 def component_poset(components: Sequence[StratumComponent]) -> ComponentPoset:
     labels = tuple(f"C{c.id}" for c in components)
@@ -253,8 +245,6 @@ def order_complex(poset: ComponentPoset) -> Complex:
 
 
 def spine_component_poset(s: SpineComplex) -> ComponentPoset:
-    if s.cell_type is None:
-        s = assign_types(s)
     return component_poset(stratum_components(s))
 
 
@@ -318,12 +308,12 @@ def nerve_of_poset(t: Complex, poset: ComponentPoset) -> NervePair:
 
 
 def prenerve(t: Complex, p: VertexPartition) -> NervePair:
-    poset = spine_component_poset(assign_types(dual_spine(t, p)))
+    poset = spine_component_poset(dual_spine(t, p))
     return NervePair(prenerve=order_complex(poset), poset=poset)
 
 
 def nerve(t: Complex, p: VertexPartition) -> NervePair:
-    poset = spine_component_poset(assign_types(dual_spine(t, p)))
+    poset = spine_component_poset(dual_spine(t, p))
     return nerve_of_poset(t, poset)
 
 

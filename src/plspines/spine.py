@@ -3,15 +3,18 @@
 The dual spine is a subcomplex of the derived triangulation T'.  Cells are
 recognized by a closed-form rule on chains: a chain of faces of T is a
 spine cell exactly when its minimal face meets at least two partition
-classes.  The literal union-of-links construction is kept alongside as an
-independent oracle (see :func:`plspines.models.dual_cells_direct`).
+classes, and its type is d + 1 minus that number of classes.  ``dual_spine``
+returns the spine with these types.  The literal union-of-links
+construction is kept alongside as an independent oracle (see
+:func:`plspines.models.dual_cells_direct`), and so is the link oracle for
+the types (:func:`plspines.strata.validate_types_against_links`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from plspines.collapse import collapses_onto, collapses_to_point
 from plspines.core import (
@@ -39,7 +42,7 @@ class SpineComplex:
     derived: DerivedComplex
     partition: VertexPartition
     cells: frozenset[Face]
-    cell_type: Mapping[Face, int] | None
+    cell_type: Mapping[Face, int]
     vertex_count: int
 
     def as_complex(self) -> Complex:
@@ -54,6 +57,29 @@ def _chain_min_vertex(derived_cx: DerivedComplex, cell: Face) -> Face:
     """Minimal base face of the chain encoded by a derived face."""
     fov = derived_cx.face_of_vertex
     return min((fov[v] for v in cell), key=len)
+
+
+def assign_types(
+    dt: DerivedComplex, p: VertexPartition, cells: Iterable[Face], vertex_count: int
+) -> dict[Face, int]:
+    """Type of each spine cell by the chain rule d + 1 - m(minimal face).
+
+    Raises InvariantViolation when a cell meets fewer than two classes or
+    the type-0 cells do not number ``vertex_count``.
+    """
+    d = dt.base.dim
+    types: dict[Face, int] = {}
+    for cell in cells:
+        m = p.classes_meeting(_chain_min_vertex(dt, cell))
+        if m < 2:
+            raise InvariantViolation(f"spine cell {cell} meets fewer than 2 classes")
+        types[cell] = d + 1 - m
+    count0 = sum(1 for k in types.values() if k == 0)
+    if count0 != vertex_count:
+        raise InvariantViolation(
+            f"type-0 cell count {count0} != vertex count {vertex_count}"
+        )
+    return types
 
 
 def check_boundary_respect(t: Complex, p: VertexPartition) -> None:
@@ -83,7 +109,8 @@ def vertex_count(t: Complex, p: VertexPartition) -> int:
 def dual_spine(
     t: Complex, p: VertexPartition, check_boundary: bool = True
 ) -> SpineComplex:
-    """Build the spine dual to (t, p) as a subcomplex of T'.
+    """Build the spine dual to (t, p) as a subcomplex of T', with the type
+    of every cell.
 
     Requires t pure; when t has boundary the partition must respect it.
     """
@@ -103,13 +130,14 @@ def dual_spine(
         for cell in dt.complex.faces
         if meets[min((fov[v] for v in cell), key=len)] >= 2
     )
+    count = vertex_count(t, p)
     return SpineComplex(
         ambient=t,
         derived=dt,
         partition=p,
         cells=cells,
-        cell_type=None,
-        vertex_count=vertex_count(t, p),
+        cell_type=assign_types(dt, p, cells, count),
+        vertex_count=count,
     )
 
 
@@ -145,11 +173,10 @@ def boundary_in_t2(t: Complex) -> Complex:
     return derived_image(derived(d1.complex), derived_image(d1, bd))
 
 
-def regions(t: Complex, p: VertexPartition, check_boundary: bool = True) -> RegionDecomposition:
+def regions(t: Complex, p: VertexPartition) -> RegionDecomposition:
     if not is_pure(t):
         raise ValueError("triangulation is not pure")
-    if check_boundary:
-        check_boundary_respect(t, p)
+    check_boundary_respect(t, p)
     d1 = derived(t)
     d2 = derived(d1.complex)
     out = []

@@ -6,13 +6,14 @@ partition classes meeting the chain's minimal face.  That rule is derived,
 not axiomatic: for ambient dimension at most 3 every cell's type is also
 read off its link (three-point / two-point links under a surface, and
 K4 / theta / circle links inside a 3-manifold), and the two must agree.
+``dual_spine`` fills the types by the rule through ``assign_types``, which
+lives in :mod:`plspines.spine` and is re-exported here.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from plspines.core import (
@@ -24,50 +25,38 @@ from plspines.core import (
     join,
     proper_subfaces,
 )
-from plspines.spine import SpineComplex, _chain_min_vertex
+from plspines.spine import SpineComplex, assign_types  # noqa: F401  (re-export)
 
 
 class LinkClassificationError(ValueError):
     """The link at a point is not one of the standard local models."""
 
 
-# -- multigraph homeomorphism classification --------------------------------
+# -- graph homeomorphism classification --------------------------------------
 
 
-def _suppress_degree_two(vertices: set[str], edges: list[tuple[str, str]]):
-    """Suppress degree-2 vertices; a bare circle ends as one vertex + loop."""
-    vertices = set(vertices)
-    edges = [tuple(sorted(e)) for e in edges]
-
-    def degree(v: str) -> int:
-        return sum((e[0] == v) + (e[1] == v) for e in edges)
-
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(vertices):
-            inc = [e for e in edges if v in e]
-            if degree(v) != 2:
-                continue
-            if len(inc) == 1:
-                continue  # single loop: canonical circle, keep
-            e1, e2 = inc
-            a = e1[0] if e1[1] == v else e1[1]
-            b = e2[0] if e2[1] == v else e2[1]
-            edges.remove(e1)
-            edges.remove(e2)
-            edges.append(tuple(sorted((a, b))))
-            vertices.discard(v)
-            changed = True
-            break
-    return vertices, edges
+def _trace_arc(adj: dict[str, list[str]], start: str, first: str) -> tuple[str, int]:
+    """Walk from ``start`` along ``first`` through degree-2 vertices; returns
+    the vertex where the walk stops (a branch vertex, or ``start`` again)
+    and the number of edges walked."""
+    prev, cur, steps = start, first, 1
+    while cur != start and len(adj[cur]) == 2:
+        a, b = adj[cur]
+        prev, cur = cur, b if a == prev else a
+        steps += 1
+    return cur, steps
 
 
 def classify_graph(g: Complex) -> str | None:
     """Classify a 1-complex up to homeomorphism among the standard links.
 
     Returns "points2", "points3", "circle", "theta", or "K4"; None when the
-    graph is none of these.
+    graph is none of these.  A connected graph with every degree 2 is a
+    circle.  Otherwise every branch vertex (degree not 2) must have degree
+    3, and every arc traced through the degree-2 vertices must cover the
+    graph and end at another branch vertex than its start: two branch
+    vertices make a theta, and four whose 12 ordered arc ends are distinct
+    make K4.
     """
     if g.is_empty:
         return None
@@ -76,32 +65,35 @@ def classify_graph(g: Complex) -> str | None:
         return {2: "points2", 3: "points3"}.get(n)
     if g.dim != 1:
         return None
-    verts = set(g.vertices)
-    edges = [f for f in g.faces if len(f) == 2]
-    if len(verts) != len({v for e in edges for v in e}):
-        return None  # isolated vertex next to edges: not a link model
-    verts, multi = _suppress_degree_two(verts, edges)
-    counts = Counter(multi)
-    degs = Counter()
-    for (a, b), m in counts.items():
-        if a == b:
-            degs[a] += 2 * m  # loops count twice
-        else:
-            degs[a] += m
-            degs[b] += m
-    if len(verts) == 1 and list(counts.values()) == [1]:
-        (e,) = counts
-        if e[0] == e[1]:
-            return "circle"
-    if len(verts) == 2 and sum(counts.values()) == 3:
-        if all(a != b and m == 3 for (a, b), m in counts.items()):
-            return "theta"
-    if (
-        len(verts) == 4
-        and len(counts) == 6
-        and all(m == 1 and a != b for (a, b), m in counts.items())
-        and all(d == 3 for d in degs.values())
-    ):
+    adj: dict[str, list[str]] = {v: [] for v in g.vertices}
+    edges = 0
+    for f in g.faces:
+        if len(f) == 2:
+            a, b = f
+            adj[a].append(b)
+            adj[b].append(a)
+            edges += 1
+    branch = [v for v, nbrs in adj.items() if len(nbrs) != 2]
+    if not branch:
+        v = g.vertices[0]
+        _, steps = _trace_arc(adj, v, adj[v][0])
+        return "circle" if steps == edges else None
+    if any(len(adj[v]) != 3 for v in branch):
+        return None
+    ends: set[tuple[str, str]] = set()
+    walked = 0
+    for v in branch:
+        for w in adj[v]:
+            end, steps = _trace_arc(adj, v, w)
+            if end == v:
+                return None
+            ends.add((v, end))
+            walked += steps
+    if walked != 2 * edges:
+        return None  # a circle component without branch vertices
+    if len(branch) == 2:
+        return "theta"
+    if len(branch) == 4 and len(ends) == 12:
         return "K4"
     return None
 
@@ -149,24 +141,6 @@ def classify_link_lowdim(s: SpineComplex, cell: Face) -> int:
         raise ValueError(f"{cell} is not a spine cell")
     link = _cell_point_link(cell, s.as_complex())
     return classify_point_link(link, s.ambient.dim)
-
-
-def assign_types(s: SpineComplex) -> SpineComplex:
-    """Fill per-cell types using the chain rule d + 1 - m(minimal face)."""
-    d = s.ambient.dim
-    fov = s.derived.face_of_vertex
-    types: dict[Face, int] = {}
-    for cell in s.cells:
-        m = s.partition.classes_meeting(_chain_min_vertex(s.derived, cell))
-        if m < 2:
-            raise InvariantViolation(f"spine cell {cell} meets fewer than 2 classes")
-        types[cell] = d + 1 - m
-    count0 = sum(1 for k in types.values() if k == 0)
-    if count0 != s.vertex_count:
-        raise InvariantViolation(
-            f"type-0 cell count {count0} != vertex count {s.vertex_count}"
-        )
-    return replace(s, cell_type=types)
 
 
 def classify_all_links(cx: Complex, ambient_dim: int) -> dict[str, int]:
@@ -222,8 +196,6 @@ def complement_components(cx: Complex, cells: Iterable[Face]) -> list[frozenset[
 def stratum_components(s: SpineComplex) -> list[StratumComponent]:
     """Connected components of equal-type spine cells, then the complement
     components of T' appended as components of top type d."""
-    if s.cell_type is None:
-        s = assign_types(s)
     d = s.ambient.dim
     types = s.cell_type
     out: list[StratumComponent] = []
@@ -249,8 +221,6 @@ def validate_types_against_links(s: SpineComplex) -> int:
 
     Returns the number of cells checked; raises on any disagreement.
     """
-    if s.cell_type is None:
-        s = assign_types(s)
     spine_cx = s.as_complex()
     d = s.ambient.dim
     for cell in sorted(s.cells, key=lambda c: (len(c), c)):

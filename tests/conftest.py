@@ -37,17 +37,15 @@ def equator_partition(sphere2):
 @pytest.fixture(scope="session")
 def k4_spine(sphere2):
     from plspines.spine import dual_spine
-    from plspines.strata import assign_types
 
-    return assign_types(dual_spine(sphere2, discrete(sphere2)))
+    return dual_spine(sphere2, discrete(sphere2))
 
 
 @pytest.fixture(scope="session")
 def pentachoron_spine(sphere3):
     from plspines.spine import dual_spine
-    from plspines.strata import assign_types
 
-    return assign_types(dual_spine(sphere3, discrete(sphere3)))
+    return dual_spine(sphere3, discrete(sphere3))
 
 
 @pytest.fixture(scope="session")

@@ -30,7 +30,7 @@ from plspines.partitions import discrete, one_vs_rest, vertex_partition
 from plspines.recognize import is_closed_curve, is_closed_pseudomanifold
 from plspines.search import search_min_vertices
 from plspines.spine import dual_spine, verify_spine
-from plspines.strata import assign_types, validate_types_against_links
+from plspines.strata import validate_types_against_links
 from helpers import rainbow_top_chain_count, random_partition_blocks, random_simplicial_map
 
 CLOSED_CATALOGUE = (
@@ -66,7 +66,7 @@ def catalogue_spine_family():
 def test_criterion_1_pi_boundary_vertex_counts():
     for n in (1, 2, 3):
         t = boundary_sphere(n)
-        s = assign_types(dual_spine(t, discrete(t)))
+        s = dual_spine(t, discrete(t))
         type0 = sum(1 for v in s.cell_type.values() if v == 0)
         assert type0 == n + 2
         assert s.vertex_count == n + 2
@@ -151,7 +151,7 @@ def test_criterion_7_drilling_preserves_vertices(pentachoron_drill_ctx):
         for p in (discrete(t), one_vs_rest(t)):
             if not verify_spine(t, p).is_yes:
                 continue
-            s = assign_types(dual_spine(t, p))
+            s = dual_spine(t, p)
             if p == discrete(t):
                 ctx = pentachoron_drill_ctx
             else:
@@ -183,7 +183,7 @@ def test_criterion_9_type_formula_validation():
     cells = 0
     spines = 0
     for name, label, t, p in catalogue_spine_family():
-        s = assign_types(dual_spine(t, p))
+        s = dual_spine(t, p)
         cells += validate_types_against_links(s)  # raises on any disagreement
         spines += 1
     print(

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import shlex
 import subprocess
@@ -9,6 +10,7 @@ from click.testing import CliRunner
 
 import plspines
 from plspines.cli import main
+from plspines.core import InvariantViolation
 
 
 @pytest.fixture()
@@ -147,6 +149,72 @@ class TestCommands:
         for line in ("manifold: T2_7", "vertices: 14", "certificate: yes",
                      "nerve-0or2: pass", "betti: 1 2 1"):
             assert line in res.output
+
+
+def _piped_rp2_one_vs_rest(runner):
+    gen = invoke(runner, ["gen", "--name", "RP2_6"])
+    return invoke(runner, ["dual-spine", "--partition", "one-vs-rest"], input=gen.output).output
+
+
+class TestPartitionPrecedence:
+    def test_report_reads_the_piped_partition(self, runner):
+        res = runner.invoke(main, ["report"], input=_piped_rp2_one_vs_rest(runner))
+        assert res.exit_code == 2
+        assert "partition: p1 | p2 p3 p4 p5 p6\n" in res.stdout
+        assert "certificate: unknown\n" in res.stdout
+
+    @pytest.mark.parametrize("cmd", ["report", "verify-spine"])
+    def test_explicit_partition_overrides_the_piped_one(self, runner, cmd):
+        res = invoke(runner, [cmd, "--partition", "discrete"],
+                     input=_piped_rp2_one_vs_rest(runner))
+        assert res.exit_code == 0
+        assert "vertices: 10\n" in res.stdout
+        assert "certificate: yes\n" in res.stdout
+
+
+PAIR_COMMANDS = {
+    # command -> a package function it calls, looked up where the command finds it
+    "report": "plspines.homology.betti_all",
+    "nerve": "plspines.nerve.nerve_checks",
+    "strata": "plspines.cli.stratum_components",
+    "drill": "plspines.drill.prepare",
+    "dual-spine": "plspines.cli.dual_spine",
+    "verify-spine": "plspines.cli.verify_spine",
+}
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("cmd,target", sorted(PAIR_COMMANDS.items()))
+    def test_invariant_violation_exits_3(self, runner, monkeypatch, cmd, target):
+        def broken(*args, **kwargs):
+            raise InvariantViolation("injected")
+
+        monkeypatch.setattr(target, broken)
+        res = runner.invoke(main, [cmd, "--name", "S2_tetra", "--partition", "discrete"])
+        assert res.exit_code == 3
+        assert res.stderr == "error: injected\n"
+
+    @pytest.mark.parametrize("cmd", ["nerve", "report"])
+    def test_failed_nerve_check_exits_3(self, runner, monkeypatch, cmd):
+        import plspines.nerve
+
+        real = plspines.nerve.nerve_checks
+
+        def failing(*args, **kwargs):
+            rep = real(*args, **kwargs)
+            return dataclasses.replace(rep, pseudomanifold_ok=False, failures=("injected",))
+
+        monkeypatch.setattr(plspines.nerve, "nerve_checks", failing)
+        res = runner.invoke(main, [cmd, "--name", "S2_tetra", "--partition", "discrete"])
+        assert res.exit_code == 3
+        assert "nerve-0or2: FAIL\n" in res.stdout
+        assert res.stderr == "error: injected\n"
+
+    @pytest.mark.parametrize("cmd", sorted(PAIR_COMMANDS))
+    def test_bad_partition_spec_exits_1(self, runner, cmd):
+        res = runner.invoke(main, [cmd, "--name", "S2_tetra", "--partition", "a,zz"])
+        assert res.exit_code == 1
+        assert res.stderr.startswith("error: ")
 
 
 class TestFiles:

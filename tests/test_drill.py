@@ -34,7 +34,6 @@ from plspines.partitions import discrete, single_class
 from plspines.recognize import boundary_complex
 from plspines.spine import dual_spine
 from plspines.strata import (
-    assign_types,
     classify_all_links,
     classify_point_link,
     spine_vertex_count_from_links,
@@ -46,7 +45,7 @@ seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 @pytest.fixture(scope="module")
 def equator_ctx(sphere2, equator_partition):
-    s = assign_types(dual_spine(sphere2, equator_partition))
+    s = dual_spine(sphere2, equator_partition)
     return prepare(s)
 
 
@@ -180,7 +179,7 @@ class TestFrontierIsLink:
         else:
             # a partition must not split a boundary component
             p = discrete(t) if boundary_complex(t).is_empty else single_class(t)
-            ctx = prepare(assign_types(dual_spine(t, p)))
+            ctx = prepare(dual_spine(t, p))
         for k in sample_drill_points(ctx, 3, seed=1):
             res = drill(ctx, k)
             expected = _coface_frontier(res.neighborhood, ctx.level2.dc.complex)
@@ -240,7 +239,7 @@ def _closed_ctx(name, pentachoron_drill_ctx):
     if name == "S3_pentachoron":
         return pentachoron_drill_ctx
     t = join(_circle("a"), _circle("b")) if name == "S1*S1" else named_triangulation(name)
-    return prepare(assign_types(dual_spine(t, discrete(t))))
+    return prepare(dual_spine(t, discrete(t)))
 
 
 class TestDrillAgainstThirdDerived:

@@ -33,7 +33,6 @@ from plspines.partitions import discrete, one_vs_rest, single_class
 from plspines.recognize import is_closed_curve
 from plspines.search import search_min_vertices
 from plspines.spine import dual_spine, vertex_count
-from plspines.strata import assign_types
 from helpers import rainbow_top_chain_count, random_simplicial_map
 
 
@@ -163,7 +162,7 @@ class TestSteinOnFacePoset:
     ])
     def test_discrete_prenerve_maps_match_derived_source(self, name, partition):
         t = named_triangulation(name)
-        poset = spine_component_poset(assign_types(dual_spine(t, partition(t))))
+        poset = spine_component_poset(dual_spine(t, partition(t)))
         _assert_matches_oracle(_prenerve_map(t, poset))
 
     def test_pair_prenerve_map_matches_derived_source(self):

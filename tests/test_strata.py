@@ -7,7 +7,6 @@ from plspines.partitions import discrete, one_vs_rest, vertex_partition
 from plspines.spine import dual_spine
 from plspines.strata import (
     LinkClassificationError,
-    assign_types,
     classify_graph,
     classify_link_lowdim,
     spine_vertex_count_from_links,
@@ -17,8 +16,15 @@ from plspines.strata import (
 
 
 class TestAssignTypes:
+    def test_strata_reexports_the_spine_rule(self):
+        # bench/traced_cli.py wraps the rule through plspines.strata
+        import plspines.spine
+        import plspines.strata
+
+        assert plspines.strata.assign_types is plspines.spine.assign_types
+
     def test_equator_all_type_one(self, sphere2, equator_partition):
-        s = assign_types(dual_spine(sphere2, equator_partition))
+        s = dual_spine(sphere2, equator_partition)
         assert set(s.cell_type.values()) == {1}
 
     def test_k4_types(self, k4_spine):
@@ -65,6 +71,33 @@ class TestClassifyLink:
         dumbbell = from_facets([["a", "b"], ["a", "c"], ["b", "c"],
                                 ["a", "d"], ["d", "e"], ["e", "a"]])
         assert classify_graph(dumbbell) is None
+        k4_subdivided = from_facets(
+            [["a", "m"], ["m", "b"], ["a", "c"], ["a", "d"], ["b", "c"], ["b", "d"],
+             ["c", "d"]]
+        )
+        assert classify_graph(k4_subdivided) == "K4"
+
+    @pytest.mark.parametrize(
+        "facets",
+        [
+            # handcuff: two circles joined by an arc
+            [["a", "b"], ["b", "c"], ["c", "a"], ["c", "d"],
+             ["d", "e"], ["e", "f"], ["f", "d"]],
+            # theta plus a disjoint circle
+            [["p", "m1"], ["m1", "q"], ["p", "m2"], ["m2", "q"], ["p", "q"],
+             ["x", "y"], ["y", "z"], ["z", "x"]],
+            # four cubic vertices, a-b and c-d doubled
+            [["a", "b"], ["a", "m1"], ["m1", "b"], ["a", "c"], ["b", "d"],
+             ["c", "d"], ["c", "m2"], ["m2", "d"]],
+            # two disjoint circles
+            [["a", "b"], ["b", "c"], ["c", "a"], ["x", "y"], ["y", "z"], ["z", "x"]],
+        ],
+        ids=["handcuff", "theta_and_circle", "doubled_arc", "two_circles"],
+    )
+    def test_graph_classifier_rejects(self, facets):
+        from plspines.core import from_facets
+
+        assert classify_graph(from_facets(facets)) is None
 
     def test_unrecognized_link_raises(self):
         from plspines.core import from_facets
@@ -77,7 +110,7 @@ class TestClassifyLink:
 
 class TestStratumComponents:
     def test_equator_components(self, sphere2, equator_partition):
-        s = assign_types(dual_spine(sphere2, equator_partition))
+        s = dual_spine(sphere2, equator_partition)
         comps = stratum_components(s)
         by_type = Counter(c.type for c in comps)
         assert by_type == {1: 1, 2: 2}
@@ -109,7 +142,7 @@ class TestStratumComponents:
         p = vertex_partition(
             torus7, [["t0"], ["t1", "t2", "t4"], ["t3", "t5", "t6"]]
         )
-        s = assign_types(dual_spine(torus7, p))
+        s = dual_spine(torus7, p)
         assert s.vertex_count == 6
         by_type = Counter(c.type for c in stratum_components(s))
         assert by_type == {0: 6, 1: 9, 2: 3}
@@ -122,7 +155,7 @@ class TestOracleAgreement:
                      "S3_pentachoron"):
             t = named_triangulation(name)
             for p in (discrete(t), one_vs_rest(t)):
-                s = assign_types(dual_spine(t, p))
+                s = dual_spine(t, p)
                 assert validate_types_against_links(s) == len(s.cells)
 
     def test_pi_boundary_vertex_counts(self):
