@@ -7,14 +7,17 @@ partition section).  Commands on a pair (complex, partition) take
 if given, else the one piped in with the complex, else the command's
 default (``discrete`` for ``report``; the others exit 1).  Exit codes,
 mapped once by the command group for every command: 0 success, 1 input
-error, 2 a certificate or check did not pass, 3 an internal invariant was
-violated (a theorem check failed, which means a bug).  Errors print
-``error: <message>`` on stderr.
+error (click's usage errors included), 2 a certificate or check did not
+pass, 3 an internal invariant was violated (a theorem check failed, which
+means a bug), 141 stdout was closed before the report was written (128 +
+SIGPIPE, as a shell reports a producer cut off by a closed pipe).  Errors
+print ``error: <message>`` on stderr.
 """
 
 from __future__ import annotations
 
 import functools
+import os
 import sys
 
 import click
@@ -37,6 +40,7 @@ from plspines.strata import stratum_components
 EXIT_INPUT = 1
 EXIT_CHECK = 2
 EXIT_BUG = 3
+EXIT_PIPE = 141  # 128 + SIGPIPE (13), as shells report a killed writer
 
 
 def _fail(msg: str, code: int) -> None:
@@ -45,15 +49,35 @@ def _fail(msg: str, code: int) -> None:
 
 
 class _Commands(click.Group):
-    """The command group; maps errors to exit codes for every command."""
+    """The command group; maps errors to exit codes for every command.
+
+    Usage errors surface in ``make_context`` (group options) and in
+    ``invoke`` (the command name and the subcommand's options); click
+    prints them and exits with their ``exit_code``, here 1 instead of 2.
+    """
+
+    def make_context(self, *args, **kwargs) -> click.Context:
+        try:
+            return super().make_context(*args, **kwargs)
+        except click.UsageError as e:
+            e.exit_code = EXIT_INPUT
+            raise
 
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
+        except click.UsageError as e:
+            e.exit_code = EXIT_INPUT
+            raise
         except InvariantViolation as e:
             _fail(str(e), EXIT_BUG)
         except ValueError as e:
             _fail(str(e), EXIT_INPUT)
+        except BrokenPipeError:
+            # the reader is gone: send what is still buffered to devnull so
+            # the interpreter's last flush stays quiet
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            sys.exit(EXIT_PIPE)
 
 
 def _read_file(path: str) -> str:

@@ -174,15 +174,6 @@ class Complex:
             counts[len(f) - 1] += 1
         return tuple(counts)
 
-    def validate(self) -> None:
-        """Check canonical storage and downward closure (for tests)."""
-        for f in self.faces:
-            if tuple(sorted(set(f))) != f or not f:
-                raise ValueError(f"non-canonical face {f!r}")
-            for s in proper_subfaces(f):
-                if s not in self.faces:
-                    raise ValueError(f"missing subface {s} of {f}")
-
 
 EMPTY = Complex(frozenset())
 
@@ -258,10 +249,6 @@ class DerivedComplex:
     vertex_of_face: Mapping[Face, str]
     face_of_vertex: Mapping[str, Face]
 
-    def chain_of(self, dface: Face) -> tuple[Face, ...]:
-        """Decode a derived face into its chain of base faces, ascending."""
-        return tuple(sorted((self.face_of_vertex[v] for v in dface), key=len))
-
 
 def derived_vertex_label(face: Face) -> str:
     return "(" + ",".join(face) + ")"
@@ -298,8 +285,7 @@ def derived_image(dc: DerivedComplex, sub: Complex) -> Complex:
     """The subcomplex of dc.complex covering the subcomplex sub of the base."""
     if not dc.base.has_subcomplex(sub):
         raise ValueError("sub is not a subcomplex of the base")
-    img = derived(sub).complex
-    return img
+    return derived(sub).complex
 
 
 def derived_map(f: SimplicialMap) -> SimplicialMap:
@@ -434,72 +420,3 @@ def connected_components(cx: Complex) -> list[Complex]:
 
 def is_connected(cx: Complex) -> bool:
     return len(connected_components(cx)) == 1
-
-
-# -- isomorphism (small complexes only) -----------------------------------
-
-
-def _vertex_signature(cx: Complex) -> dict[str, tuple]:
-    sig: dict[str, list[int]] = {v: [0] * (cx.dim + 1) for v in cx.vertices}
-    for f in cx.faces:
-        for v in f:
-            sig[v][len(f) - 1] += 1
-    return {v: tuple(s) for v, s in sig.items()}
-
-
-def isomorphism(a: Complex, b: Complex, max_faces: int = 200) -> dict[str, str] | None:
-    """Search for a face-preserving vertex bijection via backtracking.
-
-    Only intended for small complexes; raises ValueError above max_faces.
-    """
-    if len(a) > max_faces or len(b) > max_faces:
-        raise ValueError(f"isomorphism search capped at {max_faces} faces")
-    if a.f_vector() != b.f_vector():
-        return None
-    siga, sigb = _vertex_signature(a), _vertex_signature(b)
-    if sorted(siga.values()) != sorted(sigb.values()):
-        return None
-    by_sig: dict[tuple, list[str]] = {}
-    for v, s in sigb.items():
-        by_sig.setdefault(s, []).append(v)
-    # most constrained vertices first
-    order = sorted(a.vertices, key=lambda v: (len(by_sig[siga[v]]), v))
-    b_faces = b.faces
-    a_vfaces = a.vertex_faces
-
-    assign: dict[str, str] = {}
-    used: set[str] = set()
-
-    def ok(v: str) -> bool:
-        for f in a_vfaces[v]:
-            if all(u in assign for u in f):
-                if tuple(sorted(assign[u] for u in f)) not in b_faces:
-                    return False
-        return True
-
-    def search(i: int) -> bool:
-        if i == len(order):
-            return True
-        v = order[i]
-        for w in by_sig.get(siga[v], ()):
-            if w in used:
-                continue
-            assign[v] = w
-            used.add(w)
-            if ok(v) and search(i + 1):
-                return True
-            del assign[v]
-            used.discard(w)
-        return False
-
-    if search(0):
-        inv_faces = {tuple(sorted(assign[u] for u in f)) for f in a.faces}
-        if inv_faces != set(b.faces):
-            raise InvariantViolation("isomorphism search produced a non-bijection")
-        return dict(assign)
-    return None
-
-
-def isomorphic(a: Complex, b: Complex, max_faces: int = 200) -> bool:
-    return isomorphism(a, b, max_faces=max_faces) is not None
-

@@ -30,8 +30,9 @@ from plspines.core import (
     star,
     subcomplex_spanned,
 )
+from plspines.recognize import boundary_complex, is_closed_pseudomanifold
 from plspines.spine import SpineComplex
-from plspines.strata import classify_all_links, classify_point_link
+from plspines.strata import classify_all_links, classify_point_link, stratum_components
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,8 +65,7 @@ def _level(base: Complex, spine: Complex, s: SpineComplex) -> DrillLevel:
 class DrillContext:
     """Shared towers for drilling one spine repeatedly."""
 
-    spine: SpineComplex
-    d1: DerivedComplex  # t -> T'
+    spine: SpineComplex  # spine.derived is t -> T'
     level2: DrillLevel  # the spine in T''
 
     @cached_property
@@ -85,15 +85,15 @@ class DrillResult:
 
 
 def prepare(s: SpineComplex) -> DrillContext:
-    d1 = s.derived
-    return DrillContext(s, d1, _level(d1.complex, s.as_complex(), s))
+    return DrillContext(s, _level(s.derived.complex, s.as_complex(), s))
 
 
 def _lift_to_prime(ctx: DrillContext, k: Complex) -> Complex:
     t = ctx.spine.ambient
-    tp = ctx.d1.complex
+    d1 = ctx.spine.derived
+    tp = d1.complex
     if t.has_subcomplex(k):
-        return derived_image(ctx.d1, k)
+        return derived_image(d1, k)
     if tp.has_subcomplex(k):
         return k
     raise ValueError(
@@ -143,7 +143,7 @@ def drill(ctx: DrillContext, k: Complex) -> DrillResult:
     drilled polyhedra, with the same vertex count.
     """
     kp = _lift_to_prime(ctx, k)
-    if subcomplex_spanned(ctx.d1.complex, kp.vertices) == kp:  # kp is full
+    if subcomplex_spanned(ctx.spine.derived.complex, kp.vertices) == kp:  # kp is full
         level, base_locus = ctx.level2, kp
     else:
         level, base_locus = ctx.level3, derived_image(ctx.level2.dc, kp)
@@ -192,17 +192,11 @@ def eligible_drill_vertices(ctx: DrillContext) -> tuple[str, ...]:
     for cell, tp in s.cell_type.items():
         if tp <= 1:
             skel.update(cell)
-    from plspines.recognize import boundary_complex
-
     bd = boundary_complex(s.ambient)
-    bd_vertices: set[str] = set()
-    if not bd.is_empty:
-        bd_vertices = {
-            ctx.d1.vertex_of_face[f] for f in bd.faces
-        }
+    bd_vertices = {s.derived.vertex_of_face[f] for f in bd.faces}
     return tuple(
         v
-        for v in ctx.d1.complex.vertices
+        for v in s.derived.complex.vertices
         if v not in skel and v not in bd_vertices
     )
 
@@ -251,13 +245,9 @@ def cut_along_hypersurface(
     spine_cx = s.as_complex()
     if not spine_cx.has_subcomplex(surface):
         raise ValueError("surface is not a subcomplex of the spine")
-    from plspines.recognize import is_closed_pseudomanifold
-
     if not is_closed_pseudomanifold(surface):
         raise ValueError("surface is not a closed pseudomanifold")
     # check: union of closures of top stratum components
-    from plspines.strata import stratum_components
-
     top_dim = d - 1
     whole = True
     surf_tops = {f for f in surface.faces if len(f) == top_dim + 1}

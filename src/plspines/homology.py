@@ -12,10 +12,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from plspines.core import Complex, Face, InvariantViolation, closure
+from plspines.core import Complex, Face, InvariantViolation, closure, derived, face_link
 from plspines.models import LocalModel, dual_model, simplex
 from plspines.partitions import VertexPartition, vertex_partition
-from plspines.recognize import is_closed_curve, is_closed_surface, ridge_incidence
+from plspines.recognize import (
+    is_closed_curve,
+    is_closed_surface,
+    is_single_cycle,
+    ridge_incidence,
+)
 
 
 # -- GF(2) linear algebra -----------------------------------------------------
@@ -210,9 +215,6 @@ def hypersurface_from_class(
         raise ValueError("support fails the closed-curve link check")
     if sub.dim == 2 and not is_closed_surface(sub):
         for v in sub.vertices:
-            from plspines.core import face_link
-            from plspines.recognize import is_single_cycle
-
             if not is_single_cycle(face_link((v,), sub)):
                 raise ValueError(f"support fails the surface link check at {v}")
         raise ValueError("support fails the closed-surface check")
@@ -263,8 +265,6 @@ def enumerate_normal_discs(n: int) -> list[NormalDisc]:
 def disc_boundary(nd: NormalDisc) -> Complex:
     """Trace of a normal disc on the boundary sphere of its simplex:
     the faces whose chains avoid the top simplex."""
-    from plspines.core import derived
-
     amb = nd.ambient_simplex
     top = amb.facets[0]
     d = derived(amb)

@@ -5,19 +5,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from importlib import resources
-from typing import Sequence
 
 from plspines.collapse import collapses_to_point
-from plspines.core import (
-    Complex,
-    Face,
-    InvariantViolation,
-    derived,
-    derived_image,
-    from_facets,
-    link,
-)
+from plspines.core import Complex, InvariantViolation, from_facets
 from plspines.partitions import VertexPartition, vertex_partition
+from plspines.spine import dual_spine
 
 
 def simplex(n: int) -> Complex:
@@ -47,47 +39,25 @@ class LocalModel:
     k: int
 
 
-def dual_cells_direct(t: Complex, classes: Sequence[frozenset[str]]) -> frozenset[Face]:
-    """Literal dual construction: per top simplex, union the links in its
-    derived subdivision of the faces spanned by the partition traces."""
-    out: set[Face] = set()
-    for sigma in t.facets:
-        scx = from_facets([sigma])
-        dsc = derived(scx)
-        for cls in classes:
-            trace = sorted(cls.intersection(sigma))
-            if not trace:
-                continue
-            span = from_facets([trace])
-            img = derived_image(dsc, span)
-            out |= link(img, dsc.complex).faces
-    return frozenset(out)
-
-
 def dual_model(n: int, partition: VertexPartition) -> LocalModel:
     """Polyhedron dual to a vertex partition of the (n+1)-simplex.
 
-    With k+1 classes the result is a copy of the local model of codimension
-    n+1-k; its dimension and collapsibility are verified on construction.
+    Built by the chain rule of ``dual_spine``; the simplex's boundary need
+    not be respected.  With k+1 classes the result is a copy of the local
+    model of codimension n+1-k; with two or more classes its dimension and
+    collapsibility are verified on construction.
     """
-    amb = simplex(n + 1)
-    if set(partition.base.vertices) != set(amb.vertices):
-        raise ValueError("partition is not over the vertices of the (n+1)-simplex")
-    nclasses = len(partition.classes)
-    cells = dual_cells_direct(amb, partition.classes)
-    model = Complex(cells)
-    damb = derived(amb).complex
-    if nclasses == 1:
-        if not model.is_empty:
-            raise InvariantViolation("one-class dual model must be empty")
-        return LocalModel(damb, model, n, n + 1)
-    if model.dim != n:
-        raise InvariantViolation(
-            f"dual model has dim {model.dim}, expected {n}"
-        )
-    if not collapses_to_point(model):
-        raise InvariantViolation("dual model did not collapse to a point")
-    return LocalModel(damb, model, n, n + 2 - nclasses)
+    s = dual_spine(simplex(n + 1), partition, check_boundary=False)
+    model = s.as_complex()
+    k = n + 2 - len(partition.classes)
+    if k <= n:  # one class has no cell: assign_types checks each meets two
+        if model.dim != n:
+            raise InvariantViolation(
+                f"dual model has dim {model.dim}, expected {n}"
+            )
+        if not collapses_to_point(model):
+            raise InvariantViolation("dual model did not collapse to a point")
+    return LocalModel(s.derived.complex, model, n, k)
 
 
 def pi_boundary(n: int, k: int = 0) -> LocalModel:
@@ -100,14 +70,13 @@ def pi_boundary(n: int, k: int = 0) -> LocalModel:
     singles = [[v] for v in verts[: n + 1 - k]]
     rest = verts[n + 1 - k :]
     classes = singles + ([rest] if rest else [])
-    part = vertex_partition(amb, classes)
-    model = Complex(dual_cells_direct(amb, part.classes))
-    damb = derived(amb).complex
+    s = dual_spine(amb, vertex_partition(amb, classes))
+    model = s.as_complex()
     if model.dim != n - 1:
         raise InvariantViolation(
             f"pi_boundary({n},{k}) has dim {model.dim}, expected {n - 1}"
         )
-    return LocalModel(damb, model, n, k)
+    return LocalModel(s.derived.complex, model, n, k)
 
 
 # -- catalogue --------------------------------------------------------------

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Mapping, Sequence
 
 from plspines.core import (
@@ -35,7 +34,7 @@ from plspines.core import (
     derived_labels,
 )
 from plspines.partitions import VertexPartition
-from plspines.spine import SpineComplex, dual_spine
+from plspines.spine import dual_spine
 from plspines.strata import StratumComponent, complement_components, stratum_components
 
 
@@ -46,19 +45,14 @@ from plspines.strata import StratumComponent, complement_components, stratum_com
 class SteinFactorization:
     """f' = g o h with h having connected fibers and g finite-to-one.
 
-    ``h`` is validated against the derived source, which it builds, on
-    first access; ``h_assignment`` is the same vertex map without it.
+    h is kept as its vertex map ``h_assignment`` from the derived source
+    to the middle; the derived source itself is never built here.
     """
 
     source: Complex  # source of f; h starts at its derived complex
     h_assignment: Mapping[str, str]
     g: SimplicialMap
     middle: Complex
-
-    @cached_property
-    def h(self) -> SimplicialMap:
-        src = derived(self.source).complex
-        return SimplicialMap(src, self.middle, self.h_assignment)
 
 
 def _facet_chain_images(
@@ -123,7 +117,8 @@ def stein(f: SimplicialMap) -> SteinFactorization:
     ``_UnionFind`` root, is its least label.  Middle vertices are ints
     numbered in the order of their ``w/i`` labels, and a chain image is
     an int bitmask over them; its set bits, lowest first, are a sorted
-    middle face.  Labels come back only for ``middle``, ``g`` and ``h``.
+    middle face.  Labels come back only for ``middle``, ``g`` and
+    ``h_assignment``.
     """
     src = f.source
     dtgt = derived(f.target)
@@ -176,24 +171,6 @@ def stein(f: SimplicialMap) -> SteinFactorization:
     return SteinFactorization(src, h_assign, g, middle)
 
 
-def stein_checks(sf: SteinFactorization) -> list[str]:
-    """Violations of the two Stein properties; empty list when clean."""
-    problems = []
-    fibers: dict[str, list[Face]] = {m: [] for m in sf.middle.vertices}
-    for face in sf.h.source.faces:
-        img = {sf.h.assignment[v] for v in face}
-        if len(img) == 1:
-            fibers[img.pop()].append(face)
-    for m, faces in fibers.items():
-        sub = Complex(frozenset(faces))
-        if sub.is_empty or len(connected_components(sub)) != 1:
-            problems.append(f"fiber over {m} is not connected")
-    for face in sf.middle.faces:
-        if len(sf.g.image(face)) != len(face):
-            problems.append(f"g collapses the face {face}")
-    return problems
-
-
 # -- component posets ---------------------------------------------------------
 
 
@@ -244,10 +221,6 @@ def order_complex(poset: ComponentPoset) -> Complex:
     return Complex(frozenset(faces))
 
 
-def spine_component_poset(s: SpineComplex) -> ComponentPoset:
-    return component_poset(stratum_components(s))
-
-
 def pair_component_poset(t: Complex, k: Complex) -> ComponentPoset:
     """Components of a plain pair (t, k): connected components of k and of
     its complement.  Valid when each connected component of k is a single
@@ -272,15 +245,13 @@ def pair_component_poset(t: Complex, k: Complex) -> ComponentPoset:
 
 @dataclass(frozen=True, eq=False)
 class NervePair:
+    """The pre-nerve, the component poset it is the order complex of, and
+    the nerve: the middle of the Stein factorization ``stein``."""
+
     prenerve: Complex
     poset: ComponentPoset
-    nerve: Complex | None = None
-    stein: SteinFactorization | None = None
-
-    @property
-    def nerve_map(self) -> SimplicialMap | None:
-        """h of the Stein factorization, validated on first access."""
-        return None if self.stein is None else self.stein.h
+    nerve: Complex
+    stein: SteinFactorization
 
 
 def _prenerve_map(t: Complex, poset: ComponentPoset) -> SimplicialMap:
@@ -307,24 +278,14 @@ def nerve_of_poset(t: Complex, poset: ComponentPoset) -> NervePair:
     )
 
 
-def prenerve(t: Complex, p: VertexPartition) -> NervePair:
-    poset = spine_component_poset(dual_spine(t, p))
-    return NervePair(prenerve=order_complex(poset), poset=poset)
-
-
 def nerve(t: Complex, p: VertexPartition) -> NervePair:
-    poset = spine_component_poset(dual_spine(t, p))
-    return nerve_of_poset(t, poset)
-
-
-def prenerve_of_pair(t: Complex, k: Complex) -> NervePair:
-    poset = pair_component_poset(t, k)
-    return NervePair(prenerve=order_complex(poset), poset=poset)
+    """The nerve of the pair (t, dual spine of p), strata by the chain rule."""
+    return nerve_of_poset(t, component_poset(stratum_components(dual_spine(t, p))))
 
 
 def nerve_of_pair(t: Complex, k: Complex) -> NervePair:
-    poset = pair_component_poset(t, k)
-    return nerve_of_poset(t, poset)
+    """The nerve of a plain pair (t, k); see ``pair_component_poset``."""
+    return nerve_of_poset(t, pair_component_poset(t, k))
 
 
 # -- nerve theorems as checks ----------------------------------------------------
@@ -349,8 +310,6 @@ def nerve_checks(np_: NervePair, vertex_count: int, ambient_dim: int) -> NerveRe
     every codimension-1 simplex bounds zero or two top simplexes, the nerve
     dimension never exceeds the ambient one, and equality holds exactly when
     the spine has vertices."""
-    if np_.nerve is None:
-        raise ValueError("nerve not computed; call nerve() not prenerve()")
     n = np_.nerve
     d = ambient_dim
     failures = []

@@ -66,21 +66,6 @@ def is_single_cycle(g: Complex) -> bool:
     return all(d == 2 for d in deg.values()) and is_connected(g)
 
 
-def is_arc(g: Complex) -> bool:
-    """A path with at least one edge."""
-    if g.is_empty or g.dim != 1 or not is_connected(g):
-        return False
-    deg = _degrees(g)
-    ends = sorted(deg.values())
-    nedges = sum(1 for f in g.faces if len(f) == 2)
-    return (
-        nedges == len(g.vertices) - 1
-        and ends[0] == 1
-        and ends[-1] <= 2
-        and sum(1 for d in deg.values() if d == 1) == 2
-    )
-
-
 # -- manifold recognition --------------------------------------------------
 
 
@@ -97,21 +82,6 @@ def is_closed_surface(cx: Complex) -> bool:
     if any(n != 2 for n in ridge_incidence(cx).values()):
         return False
     return all(is_single_cycle(face_link((v,), cx)) for v in cx.vertices)
-
-
-def is_surface_with_boundary(cx: Complex) -> bool:
-    if cx.dim != 2 or not is_pure(cx):
-        return False
-    rid = ridge_incidence(cx)
-    if any(n not in (1, 2) for n in rid.values()):
-        return False
-    if not any(n == 1 for n in rid.values()):
-        return False
-    for v in cx.vertices:
-        lk = face_link((v,), cx)
-        if not (is_single_cycle(lk) or is_arc(lk)):
-            return False
-    return True
 
 
 def is_closed_3manifold(cx: Complex) -> bool:

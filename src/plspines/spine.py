@@ -4,16 +4,16 @@ The dual spine is a subcomplex of the derived triangulation T'.  Cells are
 recognized by a closed-form rule on chains: a chain of faces of T is a
 spine cell exactly when its minimal face meets at least two partition
 classes, and its type is d + 1 minus that number of classes.  ``dual_spine``
-returns the spine with these types.  The literal union-of-links
-construction is kept alongside as an independent oracle (see
-:func:`plspines.models.dual_cells_direct`), and so is the link oracle for
-the types (:func:`plspines.strata.validate_types_against_links`).
+returns the spine with these types; it is the one construction of the dual
+polyhedron, and the local models of :mod:`plspines.models` are built by it
+too.  The tests check it against the literal union-of-links construction
+(``dual_cells_direct`` in ``tests/helpers.py``) and the types against the
+link oracle (:func:`plspines.strata.validate_types_against_links`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Mapping
 
 from plspines.collapse import collapses_onto, collapses_to_point
@@ -23,7 +23,6 @@ from plspines.core import (
     DerivedComplex,
     Face,
     InvariantViolation,
-    closure_faces,
     connected_components,
     derived,
     derived_image,
@@ -47,10 +46,6 @@ class SpineComplex:
 
     def as_complex(self) -> Complex:
         return Complex(self.cells)
-
-    @property
-    def dim(self) -> int:
-        return self.ambient.dim
 
 
 def _chain_min_vertex(derived_cx: DerivedComplex, cell: Face) -> Face:
@@ -96,14 +91,11 @@ def check_boundary_respect(t: Complex, p: VertexPartition) -> None:
             )
 
 
-def rainbow_count(t: Complex, class_of: Mapping[str, int]) -> int:
+def vertex_count(t: Complex, p: VertexPartition) -> int:
     """Top simplexes whose vertices lie in pairwise distinct classes."""
     d = t.dim
+    class_of = p.class_of
     return sum(1 for f in t.facets if len({class_of[v] for v in f}) == d + 1)
-
-
-def vertex_count(t: Complex, p: VertexPartition) -> int:
-    return rainbow_count(t, p.class_of)
 
 
 def dual_spine(
@@ -144,21 +136,6 @@ def dual_spine(
 # -- complement regions ------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class RegionDecomposition:
-    """Per-class submanifolds of T'' plus the spine neighborhood."""
-
-    ambient: Complex
-    second: DerivedComplex
-    regions: tuple[tuple[frozenset[str], Complex], ...]
-
-    @cached_property
-    def spine_neighborhood(self) -> Complex:
-        """Closure of the faces of T'' outside every region; built when read."""
-        covered = set().union(*(mv.faces for _, mv in self.regions))
-        return Complex(closure_faces(f for f in self.second.complex.faces if f not in covered))
-
-
 def region_of_class(t: Complex, cls: frozenset[str]) -> Complex:
     """Regular neighborhood in T'' of the subcomplex spanned by the class."""
     return regular_neighborhood(subcomplex_spanned(t, cls), t)
@@ -173,12 +150,14 @@ def boundary_in_t2(t: Complex) -> Complex:
     return derived_image(derived(d1.complex), derived_image(d1, bd))
 
 
-def regions(t: Complex, p: VertexPartition) -> RegionDecomposition:
+def regions(
+    t: Complex, p: VertexPartition
+) -> tuple[tuple[frozenset[str], Complex], ...]:
+    """The ``(class, region)`` pairs of (t, p): each class's region in T'',
+    in class order; distinct regions share no face."""
     if not is_pure(t):
         raise ValueError("triangulation is not pure")
     check_boundary_respect(t, p)
-    d1 = derived(t)
-    d2 = derived(d1.complex)
     out = []
     covered: set[Face] = set()
     for cls in p.classes:
@@ -187,7 +166,7 @@ def regions(t: Complex, p: VertexPartition) -> RegionDecomposition:
             raise InvariantViolation("regions of distinct classes intersect")
         covered |= mv.faces
         out.append((cls, mv))
-    return RegionDecomposition(ambient=t, second=d2, regions=tuple(out))
+    return tuple(out)
 
 
 # -- spine certificate -------------------------------------------------------
@@ -264,11 +243,10 @@ def verify_spine(t: Complex, p: VertexPartition, seed: int = 0) -> SpineCertific
     collapse onto their boundary part (a collar certificate).  A failed
     collapse yields "unknown", never "not a spine".
     """
-    dec = regions(t, p)
     bd2 = boundary_in_t2(t)
     reports = []
     all_ok = True
-    for ci, (cls, mv) in enumerate(dec.regions):
+    for ci, (cls, mv) in enumerate(regions(t, p)):
         for ki, comp in enumerate(connected_components(mv)):
             kind, ok, nfaces = certify_region_component(comp, bd2, seed=seed)
             reports.append(RegionReport(ci, ki, kind, ok, nfaces))

@@ -133,31 +133,12 @@ def classify_point_link(link: Complex, ambient_dim: int) -> int:
     return table[kind]
 
 
-def classify_link_lowdim(s: SpineComplex, cell: Face) -> int:
-    """Oracle: type of a spine cell read off its barycenter's link."""
-    if s.ambient.dim > 3:
-        raise LinkClassificationError("link oracle requires ambient dim <= 3")
-    if cell not in s.cells:
-        raise ValueError(f"{cell} is not a spine cell")
-    link = _cell_point_link(cell, s.as_complex())
-    return classify_point_link(link, s.ambient.dim)
-
-
 def classify_all_links(cx: Complex, ambient_dim: int) -> dict[str, int]:
     """Type of every vertex of a simple complex, via link classification."""
     out = {}
     for v in cx.vertices:
         out[v] = classify_point_link(face_link((v,), cx), ambient_dim)
     return out
-
-
-def spine_vertex_count_from_links(cx: Complex, ambient_dim: int) -> int:
-    """Number of type-0 points of a simple complex of codimension one."""
-    if cx.is_empty:
-        return 0
-    if ambient_dim == 1:
-        return len(cx.vertices)
-    return sum(1 for t in classify_all_links(cx, ambient_dim).values() if t == 0)
 
 
 # -- stratum components ------------------------------------------------------

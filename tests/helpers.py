@@ -1,11 +1,40 @@
-"""Seeded random generators and oracles shared by the test modules."""
+"""Seeded random generators and oracles shared by the test modules.
+
+The oracles are independent constructions the package's own code is
+checked against; no module under ``src/`` calls them.
+"""
 
 import random
+from typing import Sequence
 
 import numpy as np
 
-from plspines.core import Complex, SimplicialMap, derived, from_facets
+from plspines.core import (
+    Complex,
+    DerivedComplex,
+    Face,
+    InvariantViolation,
+    SimplicialMap,
+    closure_faces,
+    connected_components,
+    derived,
+    derived_image,
+    face_link,
+    from_facets,
+    is_connected,
+    link,
+    proper_subfaces,
+)
 from plspines.homology import GF2Matrix
+from plspines.nerve import SteinFactorization
+from plspines.recognize import _degrees, is_pure, is_single_cycle, ridge_incidence
+from plspines.spine import SpineComplex
+from plspines.strata import (
+    LinkClassificationError,
+    _cell_point_link,
+    classify_all_links,
+    classify_point_link,
+)
 
 
 def random_complex(rng: random.Random, max_vertices: int = 8, max_facets: int = 6,
@@ -107,8 +136,8 @@ def rainbow_top_chain_count(t: Complex, poset) -> int:
         if len(face) != d + 1:
             continue
         images = {
-            frozenset(comp[cell] for cell in dtt.chain_of(c2))
-            for c2 in d3.chain_of(face)
+            frozenset(comp[cell] for cell in chain_of(dtt, c2))
+            for c2 in chain_of(d3, face)
         }
         if len(images) == d + 1:
             count += 1
@@ -151,3 +180,194 @@ def from_dense(D) -> GF2Matrix:
     D = np.asarray(D, dtype=np.uint8)
     rows, cols = D.shape
     return GF2Matrix(rows, [sum(int(D[r, c]) << r for r in range(rows)) for c in range(cols)])
+
+
+# -- complexes --------------------------------------------------------------
+
+
+def validate_complex(cx: Complex) -> None:
+    """Check canonical storage and downward closure; raises ValueError."""
+    for f in cx.faces:
+        if tuple(sorted(set(f))) != f or not f:
+            raise ValueError(f"non-canonical face {f!r}")
+        for s in proper_subfaces(f):
+            if s not in cx.faces:
+                raise ValueError(f"missing subface {s} of {f}")
+
+
+def chain_of(dc: DerivedComplex, dface: Face) -> tuple[Face, ...]:
+    """Decode a derived face into its chain of base faces, ascending."""
+    return tuple(sorted((dc.face_of_vertex[v] for v in dface), key=len))
+
+
+def _vertex_signature(cx: Complex) -> dict[str, tuple]:
+    sig: dict[str, list[int]] = {v: [0] * (cx.dim + 1) for v in cx.vertices}
+    for f in cx.faces:
+        for v in f:
+            sig[v][len(f) - 1] += 1
+    return {v: tuple(s) for v, s in sig.items()}
+
+
+def isomorphism(a: Complex, b: Complex, max_faces: int = 200) -> dict[str, str] | None:
+    """Search for a face-preserving vertex bijection via backtracking.
+
+    Only intended for small complexes; raises ValueError above max_faces.
+    """
+    if len(a) > max_faces or len(b) > max_faces:
+        raise ValueError(f"isomorphism search capped at {max_faces} faces")
+    if a.f_vector() != b.f_vector():
+        return None
+    siga, sigb = _vertex_signature(a), _vertex_signature(b)
+    if sorted(siga.values()) != sorted(sigb.values()):
+        return None
+    by_sig: dict[tuple, list[str]] = {}
+    for v, s in sigb.items():
+        by_sig.setdefault(s, []).append(v)
+    # most constrained vertices first
+    order = sorted(a.vertices, key=lambda v: (len(by_sig[siga[v]]), v))
+    b_faces = b.faces
+    a_vfaces = a.vertex_faces
+
+    assign: dict[str, str] = {}
+    used: set[str] = set()
+
+    def ok(v: str) -> bool:
+        for f in a_vfaces[v]:
+            if all(u in assign for u in f):
+                if tuple(sorted(assign[u] for u in f)) not in b_faces:
+                    return False
+        return True
+
+    def search(i: int) -> bool:
+        if i == len(order):
+            return True
+        v = order[i]
+        for w in by_sig.get(siga[v], ()):
+            if w in used:
+                continue
+            assign[v] = w
+            used.add(w)
+            if ok(v) and search(i + 1):
+                return True
+            del assign[v]
+            used.discard(w)
+        return False
+
+    if search(0):
+        inv_faces = {tuple(sorted(assign[u] for u in f)) for f in a.faces}
+        if inv_faces != set(b.faces):
+            raise InvariantViolation("isomorphism search produced a non-bijection")
+        return dict(assign)
+    return None
+
+
+def isomorphic(a: Complex, b: Complex, max_faces: int = 200) -> bool:
+    return isomorphism(a, b, max_faces=max_faces) is not None
+
+
+# -- recognition ------------------------------------------------------------
+
+
+def is_arc(g: Complex) -> bool:
+    """A path with at least one edge."""
+    if g.is_empty or g.dim != 1 or not is_connected(g):
+        return False
+    deg = _degrees(g)
+    ends = sorted(deg.values())
+    nedges = sum(1 for f in g.faces if len(f) == 2)
+    return (
+        nedges == len(g.vertices) - 1
+        and ends[0] == 1
+        and ends[-1] <= 2
+        and sum(1 for d in deg.values() if d == 1) == 2
+    )
+
+
+def is_surface_with_boundary(cx: Complex) -> bool:
+    """Every edge in one or two triangles, some in one, and every vertex
+    link a cycle or an arc."""
+    if cx.dim != 2 or not is_pure(cx):
+        return False
+    rid = ridge_incidence(cx)
+    if any(n not in (1, 2) for n in rid.values()):
+        return False
+    if not any(n == 1 for n in rid.values()):
+        return False
+    for v in cx.vertices:
+        lk = face_link((v,), cx)
+        if not (is_single_cycle(lk) or is_arc(lk)):
+            return False
+    return True
+
+
+# -- spines and their strata ------------------------------------------------
+
+
+def dual_cells_direct(t: Complex, classes: Sequence[frozenset[str]]) -> frozenset[Face]:
+    """The literal dual construction, the oracle for the chain rule: per
+    top simplex, union the links in its derived subdivision of the faces
+    spanned by the partition traces."""
+    out: set[Face] = set()
+    for sigma in t.facets:
+        dsc = derived(from_facets([sigma]))
+        for cls in classes:
+            trace = sorted(cls.intersection(sigma))
+            if not trace:
+                continue
+            img = derived_image(dsc, from_facets([trace]))
+            out |= link(img, dsc.complex).faces
+    return frozenset(out)
+
+
+def spine_neighborhood(t: Complex, regions) -> Complex:
+    """Closure in T'' of the faces outside every region of ``regions``,
+    the ``(class, region)`` pairs of ``spine.regions(t, p)``."""
+    t2 = derived(derived(t).complex).complex
+    covered = set().union(*(mv.faces for _, mv in regions))
+    return Complex(closure_faces(f for f in t2.faces if f not in covered))
+
+
+def classify_link_lowdim(s: SpineComplex, cell: Face) -> int:
+    """Type of a spine cell read off its barycenter's link."""
+    if s.ambient.dim > 3:
+        raise LinkClassificationError("link oracle requires ambient dim <= 3")
+    if cell not in s.cells:
+        raise ValueError(f"{cell} is not a spine cell")
+    return classify_point_link(_cell_point_link(cell, s.as_complex()), s.ambient.dim)
+
+
+def spine_vertex_count_from_links(cx: Complex, ambient_dim: int) -> int:
+    """Number of type-0 points of a simple complex of codimension one."""
+    if cx.is_empty:
+        return 0
+    if ambient_dim == 1:
+        return len(cx.vertices)
+    return sum(1 for t in classify_all_links(cx, ambient_dim).values() if t == 0)
+
+
+# -- Stein factorization ----------------------------------------------------
+
+
+def stein_h(sf: SteinFactorization) -> SimplicialMap:
+    """h of the factorization, from the derived source (built here) to the
+    middle; constructing the map validates it."""
+    return SimplicialMap(derived(sf.source).complex, sf.middle, sf.h_assignment)
+
+
+def stein_checks(sf: SteinFactorization) -> list[str]:
+    """Violations of the two Stein properties; empty list when clean."""
+    h = stein_h(sf)
+    problems = []
+    fibers: dict[str, list[Face]] = {m: [] for m in sf.middle.vertices}
+    for face in h.source.faces:
+        img = {h.assignment[v] for v in face}
+        if len(img) == 1:
+            fibers[img.pop()].append(face)
+    for m, faces in fibers.items():
+        sub = Complex(frozenset(faces))
+        if sub.is_empty or len(connected_components(sub)) != 1:
+            problems.append(f"fiber over {m} is not connected")
+    for face in sf.middle.faces:
+        if len(sf.g.image(face)) != len(face):
+            problems.append(f"g collapses the face {face}")
+    return problems

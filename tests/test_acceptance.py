@@ -18,20 +18,18 @@ from plspines.homology import (
     top_cycle_supports,
 )
 from plspines.models import boundary_sphere, named_triangulation, pi_boundary
-from plspines.nerve import (
-    nerve,
-    nerve_checks,
-    nerve_of_pair,
-    prenerve_of_pair,
-    stein,
-    stein_checks,
-)
+from plspines.nerve import nerve, nerve_checks, nerve_of_pair, stein
 from plspines.partitions import discrete, one_vs_rest, vertex_partition
 from plspines.recognize import is_closed_curve, is_closed_pseudomanifold
 from plspines.search import search_min_vertices
 from plspines.spine import dual_spine, verify_spine
 from plspines.strata import validate_types_against_links
-from helpers import rainbow_top_chain_count, random_partition_blocks, random_simplicial_map
+from helpers import (
+    rainbow_top_chain_count,
+    random_partition_blocks,
+    random_simplicial_map,
+    stein_checks,
+)
 
 CLOSED_CATALOGUE = (
     "S1_triangle",
@@ -99,9 +97,8 @@ def test_criterion_3_homology_bijection():
 def test_criterion_4_circle_point_nerve():
     s1 = named_triangulation("S1_triangle")
     pt = from_facets([["a"]])
-    pre = prenerve_of_pair(s1, pt)
-    assert pre.prenerve.f_vector() == (2, 1)  # a segment
     full = nerve_of_pair(s1, pt)
+    assert full.prenerve.f_vector() == (2, 1)  # a segment
     assert betti(full.nerve, 1) == 1
     assert is_closed_curve(full.nerve)
     print("criterion 4: PASS - (circle, point) has segment pre-nerve, circle nerve")

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import os
 import shlex
 import subprocess
@@ -216,6 +217,31 @@ class TestExitCodes:
         assert res.exit_code == 1
         assert res.stderr.startswith("error: ")
 
+    @pytest.mark.parametrize("args", [
+        pytest.param(["report", "--bogus"], id="command-option"),
+        pytest.param(["--bogus", "report"], id="group-option"),
+        pytest.param(["nosuch"], id="command-name"),
+        pytest.param(["drill", "--name", "S2_tetra", "--partition", "discrete",
+                      "--points", "x"], id="option-value"),
+    ])
+    def test_usage_error_exits_1(self, runner, args):
+        # exit 2 would read as "a certificate did not pass"
+        res = runner.invoke(main, args)
+        assert res.exit_code == 1
+        assert "Error: " in res.stderr
+
+    def test_closed_stdout_exits_141(self):
+        # the reader keeps one line and goes away while the report still runs
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "plspines", "report", "--name", "S3_pentachoron"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_env(),
+        )
+        assert proc.stdout.readline() == b"manifold: S3_pentachoron\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 141
+        assert err == b""
+
 
 class TestFiles:
     def test_partition_file_and_out(self, runner, tmp_path):
@@ -296,3 +322,16 @@ def test_homology_and_report_leave_numpy_unloaded():
                          timeout=120, env=_env(), check=True)
     assert out.stdout.count("betti: 1 2 1\n") == 2
     assert out.stdout.splitlines()[-1] == "False"
+
+
+def test_traced_harness_names_resolve(monkeypatch):
+    # bench/traced_cli.py wraps package functions by name; a deleted or
+    # renamed one would break its --trace runs, and nothing else imports it
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    traced_cli = importlib.import_module("traced_cli")
+    for modname, fn_name in traced_cli.TARGETS:
+        assert callable(getattr(importlib.import_module(modname), fn_name)), (modname, fn_name)
+    assert callable(plspines.core.derived.cache_info)
+    for name in plspines.__all__:
+        assert getattr(plspines, name) is not None, name

@@ -16,7 +16,7 @@ from plspines.models import named_triangulation, simplex
 from plspines.partitions import single_class
 from plspines.recognize import euler_characteristic
 from plspines.search import search_min_vertices
-from helpers import random_complex
+from helpers import random_complex, validate_complex
 
 # Fixed example sequence: the suite's data does not change between runs.
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -46,7 +46,7 @@ def test_output_is_collapse_free_subcomplex():
         cx = random_complex(rng)
         out = greedy_collapse(cx, seed=rng.randrange(100))
         assert cx.has_subcomplex(out)
-        out.validate()
+        validate_complex(out)
         # no remaining free pair
         cof = out.proper_cofaces
         assert all(len(cof[f]) != 1 for f in out.faces)
@@ -152,7 +152,7 @@ def greedy_runs(monkeypatch):
 
 def _single_class_component(name):
     t = named_triangulation(name)
-    ((_, mv),) = spine.regions(t, single_class(t)).regions
+    ((_, mv),) = spine.regions(t, single_class(t))
     (comp,) = connected_components(mv)
     return comp, spine.boundary_in_t2(t)
 

@@ -33,12 +33,8 @@ from plspines.models import catalogue_names, named_triangulation
 from plspines.partitions import discrete, single_class
 from plspines.recognize import boundary_complex
 from plspines.spine import dual_spine
-from plspines.strata import (
-    classify_all_links,
-    classify_point_link,
-    spine_vertex_count_from_links,
-)
-from helpers import random_complex, random_pure_complex
+from plspines.strata import classify_all_links, classify_point_link
+from helpers import random_complex, random_pure_complex, spine_vertex_count_from_links
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -209,7 +205,7 @@ class _ThirdDerivedDrill:
     """
 
     def __init__(self, ctx):
-        self.tp = ctx.d1.complex
+        self.tp = ctx.spine.derived.complex
         self.d2 = derived(self.tp)
         self.d3 = derived(self.d2.complex)
         self.dim = ctx.spine.ambient.dim
@@ -249,7 +245,7 @@ class TestDrillAgainstThirdDerived:
         # those where drilling changes the count
         ctx = _closed_ctx(name, pentachoron_drill_ctx)
         oracle = _ThirdDerivedDrill(ctx)
-        for v in ctx.d1.complex.vertices:
+        for v in ctx.spine.derived.complex.vertices:
             kp = Complex(frozenset({(v,)}))
             assert drill(ctx, kp).vertices_after == oracle.vertices_after(kp), v
         assert "level3" not in vars(ctx)
@@ -258,9 +254,10 @@ class TestDrillAgainstThirdDerived:
     def test_non_full_locus_drills_in_third_derived(self, name, pentachoron_drill_ctx):
         # the three edges of a T' triangle, without the triangle
         ctx = _closed_ctx(name, pentachoron_drill_ctx)
-        tri = ctx.d1.complex.faces_of_dim(2)[0]
-        kp = closure(ctx.d1.complex, itertools.combinations(tri, 2))
-        assert subcomplex_spanned(ctx.d1.complex, kp.vertices) != kp  # not full
+        tp = ctx.spine.derived.complex
+        tri = tp.faces_of_dim(2)[0]
+        kp = closure(tp, itertools.combinations(tri, 2))
+        assert subcomplex_spanned(tp, kp.vertices) != kp  # not full
         res = drill(ctx, kp)
         level = ctx.level3
         assert res.complex.faces <= level.dc.complex.faces

@@ -39,6 +39,7 @@ JOBS = [
     ("search_RP2_6", ["search", "--name", "RP2_6"], 0),
     ("search_genus2_10", ["search", "--name", "genus2_10"], 0),
     ("normal_discs_3", ["normal-discs", "--n", "3"], 0),
+    ("normal_discs_4", ["normal-discs", "--n", "4"], 0),
     ("homology_T2_7", ["homology", "--name", "T2_7"], 0),
     ("homology_RP2_6", ["homology", "--name", "RP2_6"], 0),
     (

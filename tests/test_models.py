@@ -3,7 +3,6 @@ import random
 import pytest
 
 from plspines.collapse import collapses_to_point
-from plspines.core import isomorphic
 from plspines.models import (
     boundary_sphere,
     dual_model,
@@ -14,7 +13,7 @@ from plspines.models import (
 from plspines.partitions import vertex_partition
 from plspines.recognize import euler_characteristic, is_closed_curve
 from plspines.strata import classify_graph
-from helpers import random_partition_blocks
+from helpers import isomorphic, random_partition_blocks
 
 
 class TestGenerators:

@@ -13,27 +13,31 @@ from plspines.core import (
     derived,
     derived_map,
     from_facets,
-    isomorphic,
 )
 from plspines.homology import betti
 from plspines.models import named_triangulation
 from plspines.nerve import (
     _prenerve_map,
+    component_poset,
     nerve,
     nerve_checks,
     nerve_of_pair,
     pair_component_poset,
-    prenerve,
-    prenerve_of_pair,
-    spine_component_poset,
     stein,
-    stein_checks,
 )
 from plspines.partitions import discrete, one_vs_rest, single_class
 from plspines.recognize import is_closed_curve
 from plspines.search import search_min_vertices
 from plspines.spine import dual_spine, vertex_count
-from helpers import rainbow_top_chain_count, random_simplicial_map
+from plspines.strata import stratum_components
+from helpers import (
+    is_arc,
+    isomorphic,
+    rainbow_top_chain_count,
+    random_simplicial_map,
+    stein_checks,
+    stein_h,
+)
 
 
 class TestStein:
@@ -149,7 +153,7 @@ class TestSteinOnFacePoset:
         f = random_simplicial_map(rng, max_source_faces=40)
         for g in (f, _relabelled(f, rng)):
             _assert_matches_oracle(g)
-            assert dict(stein(g).h.assignment) == _stein_on_derived_source(g)[0]
+            assert dict(stein_h(stein(g)).assignment) == _stein_on_derived_source(g)[0]
 
     @pytest.mark.parametrize("name, partition", [
         pytest.param("T2_7", discrete, id="T2_7"),
@@ -162,7 +166,7 @@ class TestSteinOnFacePoset:
     ])
     def test_discrete_prenerve_maps_match_derived_source(self, name, partition):
         t = named_triangulation(name)
-        poset = spine_component_poset(dual_spine(t, partition(t)))
+        poset = component_poset(stratum_components(dual_spine(t, partition(t))))
         _assert_matches_oracle(_prenerve_map(t, poset))
 
     def test_pair_prenerve_map_matches_derived_source(self):
@@ -185,29 +189,26 @@ class TestSteinOnFacePoset:
         monkeypatch.setattr(plspines.nerve, "derived", spy)
         np_ = nerve(t, discrete(t))
         assert seen and all(cx != t2 for cx in seen)
-        h = np_.nerve_map  # validated against T''' when read
-        assert seen[-1] == t2
+        assert np_.stein.source == t2
+        h = stein_h(np_.stein)  # validated against T''', built here
         assert h.source == derived(t2).complex
         assert h.target == np_.nerve
-        assert dict(h.assignment) == dict(np_.stein.h_assignment)
 
 
 class TestPrenerve:
     def test_circle_point_pair_is_segment(self):
         s1 = named_triangulation("S1_triangle")
         pt = from_facets([["a"]])
-        np_ = prenerve_of_pair(s1, pt)
+        np_ = nerve_of_pair(s1, pt)
         assert np_.prenerve.f_vector() == (2, 1)
 
     def test_equator_prenerve_is_path(self, sphere2, equator_partition):
-        np_ = prenerve(sphere2, equator_partition)
+        np_ = nerve(sphere2, equator_partition)
         assert np_.prenerve.f_vector() == (3, 2)
-        from plspines.recognize import is_arc
-
         assert is_arc(np_.prenerve)
 
     def test_k4_prenerve_has_full_chains(self, sphere2):
-        np_ = prenerve(sphere2, discrete(sphere2))
+        np_ = nerve(sphere2, discrete(sphere2))
         assert np_.prenerve.dim == 2
         assert len(np_.prenerve.faces_of_dim(2)) > 0
 
@@ -236,7 +237,7 @@ class TestNerve:
 
     def test_nerve_map_surjective_with_connected_fibers(self, sphere2):
         np_ = nerve(sphere2, discrete(sphere2))
-        assert set(np_.nerve_map.assignment.values()) == set(np_.nerve.vertices)
+        assert set(stein_h(np_.stein).assignment.values()) == set(np_.nerve.vertices)
         assert stein_checks(np_.stein) == []
 
 

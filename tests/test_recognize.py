@@ -9,8 +9,8 @@ from plspines.recognize import (
     is_closed_pseudomanifold,
     is_closed_surface,
     is_pure,
-    is_surface_with_boundary,
 )
+from helpers import is_surface_with_boundary
 
 
 def test_sphere_chi_and_surface(sphere2):

@@ -4,8 +4,8 @@ import random
 import pytest
 
 from plspines.collapse import collapses_to_point
-from plspines.core import from_facets
-from plspines.models import dual_cells_direct, named_triangulation
+from plspines.core import derived, from_facets
+from plspines.models import boundary_sphere, named_triangulation, simplex
 from plspines.partitions import discrete, one_vs_rest, single_class, vertex_partition
 from plspines.recognize import euler_characteristic
 from plspines import spine
@@ -16,7 +16,15 @@ from plspines.spine import (
     vertex_count,
     verify_spine,
 )
-from helpers import random_partition_blocks, random_pure_complex, region_certified
+from helpers import (
+    dual_cells_direct,
+    random_partition_blocks,
+    random_pure_complex,
+    region_certified,
+    set_partitions,
+    spine_neighborhood,
+    validate_complex,
+)
 
 
 class TestDualSpine:
@@ -37,7 +45,7 @@ class TestDualSpine:
         assert pentachoron_spine.as_complex().f_vector() == (25, 80, 60)
 
     def test_cells_form_subcomplex(self, k4_spine):
-        k4_spine.as_complex().validate()
+        validate_complex(k4_spine.as_complex())
 
     def test_not_pure_rejected(self):
         cx = from_facets([["a", "b", "c"], ["c", "d"]])
@@ -67,6 +75,16 @@ class TestDualSpine:
             s = dual_spine(t, p, check_boundary=False)
             assert s.cells == dual_cells_direct(t, p.classes), (t.facets, p)
             cases += 1
+        # every set partition of the simplexes and spheres the local models
+        # of plspines.models live on (94 cases)
+        ambients = [simplex(n + 1) for n in range(3)] + [boundary_sphere(n) for n in (1, 2, 3)]
+        for t in ambients:
+            for blocks in set_partitions(t.vertices):
+                p = vertex_partition(t, blocks)
+                s = dual_spine(t, p, check_boundary=False)
+                assert s.cells == dual_cells_direct(t, p.classes), (t.facets, p)
+                cases += 1
+        assert cases == 100 + 94
 
 
 class TestVertexCount:
@@ -90,23 +108,23 @@ class TestVertexCount:
 class TestRegions:
     def test_equator_two_ball_regions(self, sphere2, equator_partition):
         dec = regions(sphere2, equator_partition)
-        assert len(dec.regions) == 2
-        for _, mv in dec.regions:
+        assert len(dec) == 2
+        for _, mv in dec:
             assert collapses_to_point(mv)
 
     def test_discrete_four_disc_regions(self, sphere2):
         dec = regions(sphere2, discrete(sphere2))
-        assert len(dec.regions) == 4
-        for _, mv in dec.regions:
+        assert len(dec) == 4
+        for _, mv in dec:
             assert euler_characteristic(mv) == 1
             assert collapses_to_point(mv)
 
     def test_disc_single_class_covers_everything(self):
         disc = named_triangulation("D2_triangle")
         dec = regions(disc, single_class(disc))
-        assert len(dec.regions) == 1
-        assert dec.regions[0][1].faces == dec.second.complex.faces
-        assert dec.spine_neighborhood.is_empty
+        assert len(dec) == 1
+        assert dec[0][1].faces == derived(derived(disc).complex).complex.faces
+        assert spine_neighborhood(disc, dec).is_empty
 
     def test_regions_partition_top_simplexes(self, sphere2, equator_partition, torus7):
         cases = [
@@ -117,11 +135,12 @@ class TestRegions:
         ]
         for t, p in cases:
             dec = regions(t, p)
-            d2 = dec.second.complex
+            d2 = derived(derived(t).complex).complex
+            nbhd = spine_neighborhood(t, dec)
             tops = d2.faces_of_dim(d2.dim)
             for f in tops:
-                owners = sum(1 for _, mv in dec.regions if f in mv.faces)
-                in_nbhd = f in dec.spine_neighborhood.faces
+                owners = sum(1 for _, mv in dec if f in mv.faces)
+                in_nbhd = f in nbhd.faces
                 assert owners + (1 if in_nbhd else 0) == 1
 
 

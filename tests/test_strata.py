@@ -8,11 +8,10 @@ from plspines.spine import dual_spine
 from plspines.strata import (
     LinkClassificationError,
     classify_graph,
-    classify_link_lowdim,
-    spine_vertex_count_from_links,
     stratum_components,
     validate_types_against_links,
 )
+from helpers import classify_link_lowdim, spine_vertex_count_from_links
 
 
 class TestAssignTypes:
