@@ -188,6 +188,8 @@ def gen(ctx, name: str):
 @click.pass_context
 def subdivide(ctx, in_path, times: int):
     """Derived (barycentric) subdivision of a complex."""
+    if times < 0:
+        raise ValueError(f"--times must be at least 0, got {times}")
     cx, _ = _read_input(in_path, None)
     for _ in range(times):
         cx = derived(cx).complex

@@ -263,22 +263,43 @@ def derived_labels(cx: Complex) -> dict[Face, str]:
     return label
 
 
-@lru_cache(maxsize=32)
-def derived(cx: Complex) -> DerivedComplex:
-    """Complex of chains of faces of cx, with deterministic vertex labels."""
-    faces = cx.faces_sorted
-    label = derived_labels(cx)
-    cof = cx.proper_cofaces
+def chains(above: Mapping, label: Mapping, least: Iterable) -> list[Face]:
+    """Chains of a strict order whose least element is in ``least``, as
+    sorted labels; ``above[x]`` lists every element greater than x.  Each
+    chain is listed once, upward from its least element."""
     out: list[Face] = []
-    for f in faces:
-        stack: list[tuple[tuple[str, ...], Face]] = [((label[f],), f)]
+    for f in least:
+        stack: list[tuple[tuple[str, ...], Hashable]] = [((label[f],), f)]
         while stack:
             labs, last = stack.pop()
             out.append(tuple(sorted(labs)))
-            for g in cof[last]:
+            for g in above[last]:
                 stack.append((labs + (label[g],), g))
-    dc = Complex(frozenset(out))
+    return out
+
+
+@lru_cache(maxsize=32)
+def derived(cx: Complex) -> DerivedComplex:
+    """Complex of chains of faces of cx, with deterministic vertex labels."""
+    label = derived_labels(cx)
+    dc = Complex(frozenset(chains(cx.proper_cofaces, label, cx.faces_sorted)))
     return DerivedComplex(cx, dc, label, {lab: f for f, lab in label.items()})
+
+
+def derived_star(cx: Complex, vertices: Iterable[str]) -> Complex:
+    """star(L', K') for K = cx and L a subcomplex of K with vertex set
+    ``vertices``, read off K without building K': the chains of faces of K
+    whose least face meets V(L).
+
+    Star in rule: let c lie in a chain d through (l), l in L.  The least
+    face of d lies inside l, so it is in L; the least face of c contains
+    it, so it meets V(L).  Rule in star: let v be in V(L) and in the least
+    face of c.  Then c with (v) added is a chain through the L'-vertex (v),
+    so c is in the star.  So the star depends on L only through V(L).
+    """
+    vf = cx.vertex_faces
+    least = {f for v in vertices for f in vf[v]}
+    return Complex(frozenset(chains(cx.proper_cofaces, derived_labels(cx), least)))
 
 
 def derived_image(dc: DerivedComplex, sub: Complex) -> Complex:
@@ -335,11 +356,13 @@ def face_link(face: Face, cx: Complex) -> Complex:
 def regular_neighborhood(sub: Complex, amb: Complex) -> Complex:
     """Star of the image of sub inside the second derived subdivision of amb.
 
-    The result is a subcomplex of ``derived(derived(amb).complex).complex``.
+    The result is a subcomplex of ``derived(derived(amb).complex).complex``,
+    read off the first derived subdivision by ``derived_star``.
     """
+    if not amb.has_subcomplex(sub):
+        raise ValueError("sub is not a subcomplex of the ambient complex")
     d1 = derived(amb)
-    d2 = derived(d1.complex)
-    return star(derived_image(d2, derived_image(d1, sub)), d2.complex)
+    return derived_star(d1.complex, [d1.vertex_of_face[f] for f in sub.faces])
 
 
 # -- join, cone, suspension ----------------------------------------------

@@ -7,7 +7,10 @@ locus is), both are re-expressed in T'', the first derived subdivision of
 T', where the simplicial neighborhood of k's image is a derived, hence
 regular, neighborhood of k (Rourke and Sanderson, Introduction to
 Piecewise-Linear Topology, Ch. 3).  Otherwise k's image in T'', which is
-full there, is drilled the same way one level up, in T'''.  At either
+full there, is drilled the same way one level up, in T'''.  Either
+neighborhood is read off the level below by the chain rule
+(``core.derived_star``), so a full locus builds no T'' and no drill
+builds T'''; only the spine and the locus are re-expressed.  At either
 level the frontier of the neighborhood is the link of the locus's image
 (proof at ``frontier_of``), so no coface table is built.  Off the
 spine's closed 1-skeleton the vertex count is preserved; the count of the
@@ -22,12 +25,11 @@ from functools import cached_property
 
 from plspines.core import (
     Complex,
-    DerivedComplex,
     Face,
     InvariantViolation,
     derived,
     derived_image,
-    star,
+    derived_star,
     subcomplex_spanned,
 )
 from plspines.recognize import boundary_complex, is_closed_pseudomanifold
@@ -37,28 +39,28 @@ from plspines.strata import classify_all_links, classify_point_link, stratum_com
 
 @dataclass(frozen=True, eq=False)
 class DrillLevel:
-    """The spine re-expressed in the derived subdivision ``dc`` of T' or T''."""
+    """The spine re-expressed in the derived subdivision of ``base``, T' or
+    T''; that subdivision itself is not built."""
 
-    dc: DerivedComplex  # T' -> T'' or T'' -> T'''
-    spine: Complex  # the spine in dc.complex
+    base: Complex  # T' or T''
+    spine: Complex  # the spine in derived(base)
     types: dict[str, int]  # vertex of spine -> type; {} when ambient dim > 3
 
 
 def _level(base: Complex, spine: Complex, s: SpineComplex) -> DrillLevel:
     """Re-express ``spine``, a subcomplex of ``base``, in derived(base) and
     check that its link types count the vertices of the spine s."""
-    dc = derived(base)
-    fine = derived_image(dc, spine)
+    fine = derived(spine).complex
     d = s.ambient.dim
     if d > 3:
-        return DrillLevel(dc, fine, {})
+        return DrillLevel(base, fine, {})
     types = classify_all_links(fine, d)
     count = sum(1 for t in types.values() if t == 0)
     if count != s.vertex_count:
         raise InvariantViolation(
             f"re-expressed spine has {count} vertices, expected {s.vertex_count}"
         )
-    return DrillLevel(dc, fine, types)
+    return DrillLevel(base, fine, types)
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,9 +72,9 @@ class DrillContext:
 
     @cached_property
     def level3(self) -> DrillLevel:
-        """The spine in T''', built on the first drill along a locus whose
-        lift to T' is not full."""
-        return _level(self.level2.dc.complex, self.level2.spine, self.spine)
+        """The spine in T''', over T'' as base, built on the first drill
+        along a locus whose lift to T' is not full."""
+        return _level(derived(self.level2.base).complex, self.level2.spine, self.spine)
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,17 +140,19 @@ def drill(ctx: DrillContext, k: Complex) -> DrillResult:
     the image as frontier (``frontier_of``); the spine and its vertex types
     are read in T''.  Otherwise kp's image in T'' is full in T'', and the
     same construction runs one level up, on the spine re-expressed in T'''
-    (built on first use).  Regular neighborhoods are unique up to PL
-    homeomorphism fixing the locus, so both levels give PL homeomorphic
-    drilled polyhedra, with the same vertex count.
+    (built on first use).  The neighborhood is ``derived_star`` of the
+    level's base, T' or T'', so neither T'' nor T''' is built for it.
+    Regular neighborhoods are unique up to PL homeomorphism fixing the
+    locus, so both levels give PL homeomorphic drilled polyhedra, with the
+    same vertex count.
     """
     kp = _lift_to_prime(ctx, k)
     if subcomplex_spanned(ctx.spine.derived.complex, kp.vertices) == kp:  # kp is full
         level, base_locus = ctx.level2, kp
     else:
-        level, base_locus = ctx.level3, derived_image(ctx.level2.dc, kp)
-    locus = derived_image(level.dc, base_locus)
-    rn = star(locus, level.dc.complex)
+        level, base_locus = ctx.level3, derived(kp).complex
+    locus = derived(base_locus).complex
+    rn = derived_star(level.base, base_locus.vertices)
     fr = frontier_of(rn, locus)
     faces = frozenset(
         f for f in level.spine.faces if f not in rn.faces

@@ -16,9 +16,9 @@ from plspines.core import Complex, Face, InvariantViolation, closure, derived, f
 from plspines.models import LocalModel, dual_model, simplex
 from plspines.partitions import VertexPartition, vertex_partition
 from plspines.recognize import (
+    classify_graph,
     is_closed_curve,
     is_closed_surface,
-    is_single_cycle,
     ridge_incidence,
 )
 
@@ -215,7 +215,7 @@ def hypersurface_from_class(
         raise ValueError("support fails the closed-curve link check")
     if sub.dim == 2 and not is_closed_surface(sub):
         for v in sub.vertices:
-            if not is_single_cycle(face_link((v,), sub)):
+            if classify_graph(face_link((v,), sub)) != "circle":
                 raise ValueError(f"support fails the surface link check at {v}")
         raise ValueError("support fails the closed-surface check")
     return sub

@@ -27,6 +27,7 @@ from plspines.core import (
     InvariantViolation,
     SimplicialMap,
     _UnionFind,
+    chains,
     closure_faces,
     connected_components,
     derived,
@@ -34,6 +35,7 @@ from plspines.core import (
     derived_labels,
 )
 from plspines.partitions import VertexPartition
+from plspines.recognize import ridge_incidence
 from plspines.spine import dual_spine
 from plspines.strata import StratumComponent, complement_components, stratum_components
 
@@ -205,20 +207,12 @@ def component_poset(components: Sequence[StratumComponent]) -> ComponentPoset:
 
 
 def order_complex(poset: ComponentPoset) -> Complex:
-    """Chains of the strict order, as a complex on the component labels."""
+    """Chains of the strict order, as a complex on the component labels;
+    closure inclusion is transitive, so all above a chain's top extend it."""
     above: dict[str, list[str]] = {a: [] for a in poset.labels}
     for a, b in sorted(poset.less):
         above[a].append(b)
-    faces: list[Face] = []
-    for a in poset.labels:
-        stack: list[tuple[str, ...]] = [(a,)]
-        while stack:
-            chain = stack.pop()
-            faces.append(tuple(sorted(chain)))
-            for b in above[chain[-1]]:
-                if all((x, b) in poset.less for x in chain):
-                    stack.append(chain + (b,))
-    return Complex(frozenset(faces))
+    return Complex(frozenset(chains(above, {a: a for a in poset.labels}, poset.labels)))
 
 
 def pair_component_poset(t: Complex, k: Complex) -> ComponentPoset:
@@ -313,13 +307,9 @@ def nerve_checks(np_: NervePair, vertex_count: int, ambient_dim: int) -> NerveRe
     n = np_.nerve
     d = ambient_dim
     failures = []
-    counts: dict[Face, int] = {}
-    for f in n.faces:
-        if len(f) == d + 1:
-            for s in itertools.combinations(f, d):
-                counts[s] = counts.get(s, 0) + 1
+    counts = ridge_incidence(n, d)
     for s in n.faces_of_dim(d - 1):
-        c = counts.get(s, 0)
+        c = counts[s]
         if c not in (0, 2):
             failures.append(f"codim-1 simplex {s} meets {c} top simplexes")
     pseudo_ok = not failures

@@ -1,7 +1,7 @@
-"""Euler characteristics and low-dimensional manifold recognition.
+"""Euler characteristics, graph and low-dimensional manifold recognition.
 
 Manifold checks work by link recognition: two-point links in dimension 1,
-cycle/arc links in dimension 2, and 2-sphere links in dimension 3.  Higher
+cycle links in dimension 2, and 2-sphere links in dimension 3.  Higher
 dimensions fall back to a weaker pure + pseudomanifold test.  The checks
 report False on non-manifold input instead of raising.
 """
@@ -25,9 +25,9 @@ def is_pure(cx: Complex, dim: int | None = None) -> bool:
     return all(len(f) == d + 1 for f in cx.facets)
 
 
-def ridge_incidence(cx: Complex) -> Counter:
-    """Count, for each codimension-1 face, the top faces containing it."""
-    d = cx.dim
+def ridge_incidence(cx: Complex, d: int | None = None) -> Counter:
+    """Count, for each (d-1)-face, the d-faces containing it; d defaults to cx.dim."""
+    d = cx.dim if d is None else d
     counts: Counter = Counter()
     for f in cx.faces:
         if len(f) == d + 1:
@@ -47,48 +47,89 @@ def is_closed_pseudomanifold(cx: Complex) -> bool:
     return all(n == 2 for n in ridge_incidence(cx).values())
 
 
-# -- graph-level link predicates ------------------------------------------
+# -- graph homeomorphism classification ---------------------------------------
 
 
-def _degrees(g: Complex) -> dict[str, int]:
-    deg = {v: 0 for v in g.vertices}
+def _trace_arc(adj: dict[str, list[str]], start: str, first: str) -> tuple[str, int]:
+    """Walk from ``start`` along ``first`` through degree-2 vertices; returns
+    the vertex where the walk stops (a branch vertex, or ``start`` again)
+    and the number of edges walked."""
+    prev, cur, steps = start, first, 1
+    while cur != start and len(adj[cur]) == 2:
+        a, b = adj[cur]
+        prev, cur = cur, b if a == prev else a
+        steps += 1
+    return cur, steps
+
+
+def classify_graph(g: Complex) -> str | None:
+    """Classify a 1-complex up to homeomorphism among the standard links.
+
+    Returns "points2", "points3", "circle", "theta", or "K4"; None when the
+    graph is none of these.  A connected graph with every degree 2 is a
+    circle.  Otherwise every branch vertex (degree not 2) must have degree
+    3, and every arc traced through the degree-2 vertices must cover the
+    graph and end at another branch vertex than its start: two branch
+    vertices make a theta, and four whose 12 ordered arc ends are distinct
+    make K4.
+    """
+    if g.is_empty:
+        return None
+    if g.dim == 0:
+        n = len(g.vertices)
+        return {2: "points2", 3: "points3"}.get(n)
+    if g.dim != 1:
+        return None
+    adj: dict[str, list[str]] = {v: [] for v in g.vertices}
+    edges = 0
     for f in g.faces:
         if len(f) == 2:
-            deg[f[0]] += 1
-            deg[f[1]] += 1
-    return deg
-
-
-def is_single_cycle(g: Complex) -> bool:
-    if g.is_empty or g.dim != 1:
-        return False
-    deg = _degrees(g)
-    return all(d == 2 for d in deg.values()) and is_connected(g)
+            a, b = f
+            adj[a].append(b)
+            adj[b].append(a)
+            edges += 1
+    branch = [v for v, nbrs in adj.items() if len(nbrs) != 2]
+    if not branch:
+        v = g.vertices[0]
+        _, steps = _trace_arc(adj, v, adj[v][0])
+        return "circle" if steps == edges else None
+    if any(len(adj[v]) != 3 for v in branch):
+        return None
+    ends: set[tuple[str, str]] = set()
+    walked = 0
+    for v in branch:
+        for w in adj[v]:
+            end, steps = _trace_arc(adj, v, w)
+            if end == v:
+                return None
+            ends.add((v, end))
+            walked += steps
+    if walked != 2 * edges:
+        return None  # a circle component without branch vertices
+    if len(branch) == 2:
+        return "theta"
+    if len(branch) == 4 and len(ends) == 12:
+        return "K4"
+    return None
 
 
 # -- manifold recognition --------------------------------------------------
 
 
 def is_closed_curve(cx: Complex) -> bool:
-    return cx.dim == 1 and is_pure(cx) and all(
-        len([f for f in cx.vertex_faces[v] if len(f) == 2]) == 2 for v in cx.vertices
-    )
+    return cx.dim == 1 and is_closed_pseudomanifold(cx)
 
 
 def is_closed_surface(cx: Complex) -> bool:
     """Every edge in two triangles and every vertex link a single cycle."""
-    if cx.dim != 2 or not is_pure(cx):
+    if cx.dim != 2 or not is_closed_pseudomanifold(cx):
         return False
-    if any(n != 2 for n in ridge_incidence(cx).values()):
-        return False
-    return all(is_single_cycle(face_link((v,), cx)) for v in cx.vertices)
+    return all(classify_graph(face_link((v,), cx)) == "circle" for v in cx.vertices)
 
 
 def is_closed_3manifold(cx: Complex) -> bool:
     """Pure, two tetrahedra per triangle, and every vertex link a 2-sphere."""
-    if cx.dim != 3 or not is_pure(cx):
-        return False
-    if any(n != 2 for n in ridge_incidence(cx).values()):
+    if cx.dim != 3 or not is_closed_pseudomanifold(cx):
         return False
     for v in cx.vertices:
         lk = face_link((v,), cx)

@@ -25,77 +25,12 @@ from plspines.core import (
     join,
     proper_subfaces,
 )
+from plspines.recognize import classify_graph
 from plspines.spine import SpineComplex, assign_types  # noqa: F401  (re-export)
 
 
 class LinkClassificationError(ValueError):
     """The link at a point is not one of the standard local models."""
-
-
-# -- graph homeomorphism classification --------------------------------------
-
-
-def _trace_arc(adj: dict[str, list[str]], start: str, first: str) -> tuple[str, int]:
-    """Walk from ``start`` along ``first`` through degree-2 vertices; returns
-    the vertex where the walk stops (a branch vertex, or ``start`` again)
-    and the number of edges walked."""
-    prev, cur, steps = start, first, 1
-    while cur != start and len(adj[cur]) == 2:
-        a, b = adj[cur]
-        prev, cur = cur, b if a == prev else a
-        steps += 1
-    return cur, steps
-
-
-def classify_graph(g: Complex) -> str | None:
-    """Classify a 1-complex up to homeomorphism among the standard links.
-
-    Returns "points2", "points3", "circle", "theta", or "K4"; None when the
-    graph is none of these.  A connected graph with every degree 2 is a
-    circle.  Otherwise every branch vertex (degree not 2) must have degree
-    3, and every arc traced through the degree-2 vertices must cover the
-    graph and end at another branch vertex than its start: two branch
-    vertices make a theta, and four whose 12 ordered arc ends are distinct
-    make K4.
-    """
-    if g.is_empty:
-        return None
-    if g.dim == 0:
-        n = len(g.vertices)
-        return {2: "points2", 3: "points3"}.get(n)
-    if g.dim != 1:
-        return None
-    adj: dict[str, list[str]] = {v: [] for v in g.vertices}
-    edges = 0
-    for f in g.faces:
-        if len(f) == 2:
-            a, b = f
-            adj[a].append(b)
-            adj[b].append(a)
-            edges += 1
-    branch = [v for v, nbrs in adj.items() if len(nbrs) != 2]
-    if not branch:
-        v = g.vertices[0]
-        _, steps = _trace_arc(adj, v, adj[v][0])
-        return "circle" if steps == edges else None
-    if any(len(adj[v]) != 3 for v in branch):
-        return None
-    ends: set[tuple[str, str]] = set()
-    walked = 0
-    for v in branch:
-        for w in adj[v]:
-            end, steps = _trace_arc(adj, v, w)
-            if end == v:
-                return None
-            ends.add((v, end))
-            walked += steps
-    if walked != 2 * edges:
-        return None  # a circle component without branch vertices
-    if len(branch) == 2:
-        return "theta"
-    if len(branch) == 4 and len(ends) == 12:
-        return "K4"
-    return None
 
 
 _TYPE_OF_LINK = {

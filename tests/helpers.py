@@ -24,10 +24,11 @@ from plspines.core import (
     is_connected,
     link,
     proper_subfaces,
+    star,
 )
 from plspines.homology import GF2Matrix
 from plspines.nerve import SteinFactorization
-from plspines.recognize import _degrees, is_pure, is_single_cycle, ridge_incidence
+from plspines.recognize import classify_graph, is_pure, ridge_incidence
 from plspines.spine import SpineComplex
 from plspines.strata import (
     LinkClassificationError,
@@ -272,7 +273,11 @@ def is_arc(g: Complex) -> bool:
     """A path with at least one edge."""
     if g.is_empty or g.dim != 1 or not is_connected(g):
         return False
-    deg = _degrees(g)
+    deg = {v: 0 for v in g.vertices}
+    for f in g.faces:
+        if len(f) == 2:
+            deg[f[0]] += 1
+            deg[f[1]] += 1
     ends = sorted(deg.values())
     nedges = sum(1 for f in g.faces if len(f) == 2)
     return (
@@ -295,7 +300,7 @@ def is_surface_with_boundary(cx: Complex) -> bool:
         return False
     for v in cx.vertices:
         lk = face_link((v,), cx)
-        if not (is_single_cycle(lk) or is_arc(lk)):
+        if not (classify_graph(lk) == "circle" or is_arc(lk)):
             return False
     return True
 
@@ -317,6 +322,14 @@ def dual_cells_direct(t: Complex, classes: Sequence[frozenset[str]]) -> frozense
             img = derived_image(dsc, from_facets([trace]))
             out |= link(img, dsc.complex).faces
     return frozenset(out)
+
+
+def regular_neighborhood_direct(sub: Complex, amb: Complex) -> Complex:
+    """The oracle for ``core.regular_neighborhood`` and ``core.derived_star``:
+    derive amb twice, and take the star of sub's image in the built T''."""
+    d1 = derived(amb)
+    d2 = derived(d1.complex)
+    return star(derived_image(d2, derived_image(d1, sub)), d2.complex)
 
 
 def spine_neighborhood(t: Complex, regions) -> Complex:

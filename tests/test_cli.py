@@ -144,6 +144,13 @@ class TestCommands:
         assert res.stdout == ""
         assert "--points must be at least 1" in res.stderr
 
+    def test_subdivide_rejects_negative_times(self, runner):
+        gen = invoke(runner, ["gen", "--name", "S1_triangle"])
+        res = runner.invoke(main, ["subdivide", "--times", "-1"], input=gen.output)
+        assert res.exit_code == 1
+        assert res.stdout == ""
+        assert "--times must be at least 0" in res.stderr
+
     def test_report(self, runner):
         res = invoke(runner, ["report", "--name", "T2_7"])
         assert res.exit_code == 0

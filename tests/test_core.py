@@ -1,15 +1,19 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plspines.core import (
     Complex,
     SimplicialMap,
+    closure,
     cone,
     connected_components,
     derived,
     derived_image,
     derived_map,
+    derived_star,
     face_link,
     from_facets,
     join,
@@ -23,7 +27,7 @@ from plspines.core import (
 from plspines.collapse import collapses_to_point
 from plspines.models import boundary_sphere, simplex
 from plspines.recognize import euler_characteristic
-from helpers import chain_of, is_arc, isomorphic, random_complex
+from helpers import chain_of, is_arc, isomorphic, random_complex, regular_neighborhood_direct
 
 
 def brute_chain_count(cx):
@@ -193,6 +197,19 @@ class TestRegularNeighborhood:
         rn = regular_neighborhood(subcomplex_spanned(sphere2, ["v0"]), sphere2)
         assert euler_characteristic(rn) == 1
         assert collapses_to_point(rn)
+
+    # Fixed example sequence: the suite's data does not change between runs.
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_chain_rule_matches_star_in_built_derived(self, seed):
+        # L may be empty or not full; the oracle builds K' and takes the star
+        rng = random.Random(seed)
+        cx = random_complex(rng)
+        faces = cx.faces_sorted
+        sub = closure(cx, rng.sample(faces, rng.randint(0, min(4, len(faces)))))
+        d = derived(cx)
+        assert derived_star(cx, sub.vertices) == star(derived_image(d, sub), d.complex)
+        assert regular_neighborhood(sub, cx) == regular_neighborhood_direct(sub, cx)
 
 
 class TestJoinConeSuspension:

@@ -16,7 +16,6 @@ from plspines.core import (
     from_facets,
     join,
     link,
-    regular_neighborhood,
     star,
     subcomplex_spanned,
 )
@@ -32,9 +31,15 @@ from plspines.homology import hypersurface_from_class, top_cycle_supports
 from plspines.models import catalogue_names, named_triangulation
 from plspines.partitions import discrete, single_class
 from plspines.recognize import boundary_complex
-from plspines.spine import dual_spine
+from plspines.search import search_min_vertices
+from plspines.spine import dual_spine, verify_spine
 from plspines.strata import classify_all_links, classify_point_link
-from helpers import random_complex, random_pure_complex, spine_vertex_count_from_links
+from helpers import (
+    random_complex,
+    random_pure_complex,
+    regular_neighborhood_direct,
+    spine_vertex_count_from_links,
+)
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -158,7 +163,7 @@ class TestFrontierIsLink:
         k = closure(t, rng.sample(faces, rng.randint(1, min(4, len(faces)))))
         d1 = derived(t)
         d2 = derived(d1.complex)
-        rn = regular_neighborhood(k, t)
+        rn = regular_neighborhood_direct(k, t)
         locus = derived_image(d2, derived_image(d1, k))
         assert frontier_of(rn, locus).faces == _coface_frontier(rn, d2.complex).faces
         # one level down: the star in T' of the image of a full subcomplex
@@ -178,7 +183,7 @@ class TestFrontierIsLink:
             ctx = prepare(dual_spine(t, p))
         for k in sample_drill_points(ctx, 3, seed=1):
             res = drill(ctx, k)
-            expected = _coface_frontier(res.neighborhood, ctx.level2.dc.complex)
+            expected = _coface_frontier(res.neighborhood, derived(ctx.level2.base).complex)
             assert res.frontier.faces == expected.faces
             assert res.vertices_after == _face_link_count(ctx.level2, res, t.dim)
 
@@ -198,8 +203,8 @@ def _face_link_count(level, res, d) -> int:
 class _ThirdDerivedDrill:
     """The oracle: drilling as it was done in T''' for every locus.
 
-    The neighbourhood is ``regular_neighborhood(kp, T')``, the spine and
-    its vertex types are read in T''', the frontier is the link of the
+    The neighbourhood is ``regular_neighborhood_direct(kp, T')``, the spine
+    and its vertex types are read in T''', the frontier is the link of the
     locus's image there, and each frontier vertex is classified from
     ``face_link`` in the drilled complex.
     """
@@ -213,7 +218,7 @@ class _ThirdDerivedDrill:
         self.types = classify_all_links(self.spine, self.dim)
 
     def vertices_after(self, kp):
-        rn = regular_neighborhood(kp, self.tp)
+        rn = regular_neighborhood_direct(kp, self.tp)
         fr = link(derived_image(self.d3, derived_image(self.d2, kp)), self.d3.complex)
         drilled = Complex(frozenset(f for f in self.spine.faces if f not in rn.faces) | fr.faces)
         outside = sum(1 for v, tp in self.types.items() if tp == 0 and (v,) not in rn.faces)
@@ -260,16 +265,17 @@ class TestDrillAgainstThirdDerived:
         assert subcomplex_spanned(tp, kp.vertices) != kp  # not full
         res = drill(ctx, kp)
         level = ctx.level3
-        assert res.complex.faces <= level.dc.complex.faces
+        assert res.complex.faces <= derived(level.base).complex.faces
         assert res.vertices_after == _ThirdDerivedDrill(ctx).vertices_after(kp)
         assert res.vertices_after == _face_link_count(level, res, ctx.spine.ambient.dim)
         if ctx.spine.ambient.dim == 2:
-            expected = _coface_frontier(res.neighborhood, level.dc.complex)
+            expected = _coface_frontier(res.neighborhood, derived(level.base).complex)
             assert res.frontier.faces == expected.faces
 
 
-def test_point_drills_never_build_third_derived(monkeypatch, pentachoron_spine):
-    t2 = derived(pentachoron_spine.derived.complex).complex
+def _derived_calls(monkeypatch) -> list[Complex]:
+    """Route ``derived`` in every plspines module through a spy; returns
+    the list of complexes it is called on."""
     seen = []
 
     def spy(cx):
@@ -279,8 +285,47 @@ def test_point_drills_never_build_third_derived(monkeypatch, pentachoron_spine):
     for name, mod in list(sys.modules.items()):
         if name.startswith("plspines") and getattr(mod, "derived", None) is derived:
             monkeypatch.setattr(mod, "derived", spy)
+    return seen
+
+
+def test_point_drills_never_build_third_derived(monkeypatch, pentachoron_spine):
+    t2 = derived(pentachoron_spine.derived.complex).complex
+    seen = _derived_calls(monkeypatch)
     ctx = prepare(pentachoron_spine)
     for k in sample_drill_points(ctx, 20, seed=0):
         assert drill(ctx, k).vertices_after == 5
     assert seen and all(cx != t2 for cx in seen)
     assert "level3" not in vars(ctx)
+
+
+def _point_drills(t):
+    ctx = prepare(dual_spine(t, discrete(t)))
+    for k in sample_drill_points(ctx, 20, seed=0):
+        drill(ctx, k)
+
+
+def _non_full_drill(t):
+    ctx = prepare(dual_spine(t, discrete(t)))
+    tp = ctx.spine.derived.complex
+    drill(ctx, closure(tp, itertools.combinations(tp.faces_of_dim(2)[0], 2)))
+
+
+@pytest.mark.parametrize("job,name,level", [
+    (lambda t: verify_spine(t, discrete(t)), "T2_7", 1),
+    (lambda t: verify_spine(t, single_class(t)), "D2_triangle", 1),
+    # RP2_6's whole-vertex class gets stuck on its span and falls back to its
+    # region; no class of T2_7 reaches its region
+    (search_min_vertices, "RP2_6", 1),
+    (_point_drills, "S3_pentachoron", 1),
+    (_non_full_drill, "S2_oct", 2),
+], ids=["verify-spine T2_7", "verify-spine D2_triangle single", "search RP2_6",
+        "point drills", "non-full drill"])
+def test_stars_are_read_off_the_level_below(monkeypatch, job, name, level):
+    # a star in K' is read off K, so K (T' or T'') is never derived for it
+    t = named_triangulation(name)
+    below = t
+    for _ in range(level):
+        below = derived(below).complex
+    seen = _derived_calls(monkeypatch)
+    job(t)
+    assert seen and all(cx != below for cx in seen)

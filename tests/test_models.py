@@ -11,8 +11,7 @@ from plspines.models import (
     simplex,
 )
 from plspines.partitions import vertex_partition
-from plspines.recognize import euler_characteristic, is_closed_curve
-from plspines.strata import classify_graph
+from plspines.recognize import classify_graph, euler_characteristic, is_closed_curve
 from helpers import isomorphic, random_partition_blocks
 
 

@@ -4,8 +4,8 @@ import random
 import pytest
 
 from plspines.collapse import collapses_to_point
-from plspines.core import derived, from_facets
-from plspines.models import boundary_sphere, named_triangulation, simplex
+from plspines.core import derived, from_facets, join
+from plspines.models import boundary_sphere, catalogue_names, named_triangulation, simplex
 from plspines.partitions import discrete, one_vs_rest, single_class, vertex_partition
 from plspines.recognize import euler_characteristic
 from plspines import spine
@@ -142,6 +142,24 @@ class TestRegions:
                 owners = sum(1 for _, mv in dec if f in mv.faces)
                 in_nbhd = f in nbhd.faces
                 assert owners + (1 if in_nbhd else 0) == 1
+
+    @pytest.mark.parametrize("name", catalogue_names() + ("S1*S1",))
+    def test_regions_pairwise_disjoint(self, name):
+        # disjointness follows from the chain rule; regions() does not check it
+        circle = boundary_sphere(1)
+        t = join(circle, circle) if name == "S1*S1" else named_triangulation(name)
+        parts = [discrete(t), one_vs_rest(t), single_class(t)] + [
+            vertex_partition(t, random_partition_blocks(random.Random(seed), t.vertices))
+            for seed in range(3)
+        ]
+        for p in parts:
+            try:
+                spine.check_boundary_respect(t, p)
+            except ValueError:  # splits a boundary component
+                continue
+            dec = regions(t, p)
+            for (_, a), (_, b) in itertools.combinations(dec, 2):
+                assert a.faces.isdisjoint(b.faces)
 
 
 class TestVerifySpine:

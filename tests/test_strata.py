@@ -4,10 +4,10 @@ import pytest
 
 from plspines.models import named_triangulation, pi_boundary
 from plspines.partitions import discrete, one_vs_rest, vertex_partition
+from plspines.recognize import classify_graph
 from plspines.spine import dual_spine
 from plspines.strata import (
     LinkClassificationError,
-    classify_graph,
     stratum_components,
     validate_types_against_links,
 )
