@@ -29,10 +29,7 @@ def greedy_collapse(cx: Complex, seed: int = 0, keep: Complex | None = None) -> 
     """
     keep_faces = keep.faces if keep is not None else frozenset()
     live: set[Face] = set(cx.faces)
-    cof: dict[Face, set[Face]] = {f: set() for f in live}
-    for f in live:
-        for s in proper_subfaces(f):
-            cof[s].add(f)
+    cof = {f: set(c) for f, c in cx.proper_cofaces.items()}
 
     rng = random.Random(seed)
     queue = [f for f in cx.faces_sorted if len(cof[f]) == 1]
@@ -49,13 +46,25 @@ def greedy_collapse(cx: Complex, seed: int = 0, keep: Complex | None = None) -> 
         live.discard(eta)
         for removed in (sigma, eta):
             for s in proper_subfaces(removed):
-                c = cof.get(s)
-                if c is None:
-                    continue
+                c = cof[s]
                 c.discard(removed)
                 if s in live and len(c) == 1:
                     queue.append(s)
     return Complex(frozenset(live))
+
+
+def _restarts(
+    cx: Complex, keep: Complex | None, size: int, restarts: int, seed: int
+) -> bool:
+    """Seeded greedy runs until one leaves ``size`` faces; a run that
+    removes nothing finds no free pair, an exact "no" for every run."""
+    for s in range(restarts):
+        left = len(greedy_collapse(cx, seed=seed + s, keep=keep).faces)
+        if left == size:
+            return True
+        if left == len(cx.faces):
+            return False
+    return False
 
 
 def collapses_to_point(
@@ -70,13 +79,7 @@ def collapses_to_point(
         return False
     if len(cx.faces) == 1:
         return True
-    for s in range(restarts):
-        out = greedy_collapse(cx, seed=seed + s)
-        if len(out.faces) == 1:
-            return True
-        if len(out.faces) == len(cx.faces):
-            return False
-    return False
+    return _restarts(cx, None, 1, restarts, seed)
 
 
 def collapses_onto(
@@ -85,7 +88,9 @@ def collapses_onto(
     """Certificate that cx collapses onto the subcomplex target.
 
     ``False`` is exact when the Euler characteristics differ or when no
-    free pair lies outside target; otherwise it only means no run reached it.
+    free pair lies outside target; otherwise it only means no run reached
+    it.  A run keeps every face of target, so it ends at target exactly
+    when it leaves as many faces as target has.
     """
     if not cx.has_subcomplex(target):
         raise ValueError("target is not a subcomplex")
@@ -93,10 +98,4 @@ def collapses_onto(
         return True
     if euler_characteristic(cx) != euler_characteristic(target):
         return False
-    for s in range(restarts):
-        out = greedy_collapse(cx, seed=seed + s, keep=target)
-        if out.faces == target.faces:
-            return True
-        if len(out.faces) == len(cx.faces):
-            return False
-    return False
+    return _restarts(cx, target, len(target.faces), restarts, seed)

@@ -254,9 +254,9 @@ def derived_vertex_label(face: Face) -> str:
     return "(" + ",".join(face) + ")"
 
 
-def derived_labels(cx: Complex) -> dict[Face, str]:
-    """Face -> its derived vertex label, in canonical face order."""
-    label = {f: derived_vertex_label(f) for f in cx.faces_sorted}
+def derived_labels(faces: Iterable[Face]) -> dict[Face, str]:
+    """Face -> its derived vertex label, in the order of ``faces``."""
+    label = {f: derived_vertex_label(f) for f in faces}
     if len(set(label.values())) != len(label):
         # only possible when user labels mimic generated ones, e.g. "a,b"
         raise ValueError("vertex labels collide under derived naming")
@@ -281,7 +281,7 @@ def chains(above: Mapping, label: Mapping, least: Iterable) -> list[Face]:
 @lru_cache(maxsize=32)
 def derived(cx: Complex) -> DerivedComplex:
     """Complex of chains of faces of cx, with deterministic vertex labels."""
-    label = derived_labels(cx)
+    label = derived_labels(cx.faces_sorted)
     dc = Complex(frozenset(chains(cx.proper_cofaces, label, cx.faces_sorted)))
     return DerivedComplex(cx, dc, label, {lab: f for f, lab in label.items()})
 
@@ -296,10 +296,13 @@ def derived_star(cx: Complex, vertices: Iterable[str]) -> Complex:
     it, so it meets V(L).  Rule in star: let v be in V(L) and in the least
     face of c.  Then c with (v) added is a chain through the L'-vertex (v),
     so c is in the star.  So the star depends on L only through V(L).
+
+    A coface of a face meeting V(L) meets V(L) too, so every chain walked
+    here consists of faces in ``least``, and only those are labelled.
     """
     vf = cx.vertex_faces
     least = {f for v in vertices for f in vf[v]}
-    return Complex(frozenset(chains(cx.proper_cofaces, derived_labels(cx), least)))
+    return Complex(frozenset(chains(cx.proper_cofaces, derived_labels(least), least)))
 
 
 def derived_image(dc: DerivedComplex, sub: Complex) -> Complex:

@@ -235,13 +235,14 @@ def cut_along_hypersurface(
     """Drill the spine along a closed hypersurface contained in it.
 
     The surface must be a closed pseudomanifold union of closures of
-    top-dimensional stratum components of the spine; in ambient dimension 3
-    the vertex count never increases, and the report asserts it.
+    top-dimensional stratum components of the spine.  The ambient
+    dimension must be 3, where the theorem that the vertex count never
+    increases is stated, and the report asserts that theorem.
     """
     s = ctx.spine
     d = s.ambient.dim
-    if d < 3:
-        raise ValueError("hypersurface cutting requires ambient dimension >= 3")
+    if d != 3:
+        raise ValueError(f"hypersurface cutting requires ambient dimension 3, got {d}")
     if surface.is_empty:
         return CutReport(
             s.vertex_count, s.vertex_count, True, True, ctx.level2.spine
@@ -265,10 +266,8 @@ def cut_along_hypersurface(
     predicted = whole
     res = drill(ctx, surface)
     after = res.vertices_after
-    if after is None:
-        raise InvariantViolation("cut in low dimension must produce a count")
     holds = after <= s.vertex_count
-    if predicted and d == 3 and not holds:
+    if predicted and not holds:
         raise InvariantViolation(
             f"cut along a union of 2-components increased the vertex count "
             f"{s.vertex_count} -> {after}"

@@ -50,7 +50,7 @@ def dual_model(n: int, partition: VertexPartition) -> LocalModel:
     s = dual_spine(simplex(n + 1), partition, check_boundary=False)
     model = s.as_complex()
     k = n + 2 - len(partition.classes)
-    if k <= n:  # one class has no cell: assign_types checks each meets two
+    if k <= n:  # with one class no face meets two classes: the model is empty
         if model.dim != n:
             raise InvariantViolation(
                 f"dual model has dim {model.dim}, expected {n}"

@@ -29,7 +29,6 @@ from plspines.core import (
     _UnionFind,
     chains,
     closure_faces,
-    connected_components,
     derived,
     derived_image,
     derived_labels,
@@ -37,7 +36,7 @@ from plspines.core import (
 from plspines.partitions import VertexPartition
 from plspines.recognize import ridge_incidence
 from plspines.spine import dual_spine
-from plspines.strata import StratumComponent, complement_components, stratum_components
+from plspines.strata import StratumComponent, cell_components, stratum_components
 
 
 # -- Stein factorization -----------------------------------------------------
@@ -124,7 +123,7 @@ def stein(f: SimplicialMap) -> SteinFactorization:
     """
     src = f.source
     dtgt = derived(f.target)
-    label = derived_labels(src)
+    label = derived_labels(src.faces)
     faces = sorted(label, key=label.__getitem__)
     n = len(faces)
     fid = {s: i for i, s in enumerate(faces)}
@@ -222,15 +221,12 @@ def pair_component_poset(t: Complex, k: Complex) -> ComponentPoset:
     if not t.has_subcomplex(k):
         raise ValueError("k is not a subcomplex of t")
     dt = derived(t)
-    kcells = derived_image(dt, k).faces if not k.is_empty else frozenset()
-    comps: list[StratumComponent] = []
-    next_id = 0
-    for sub in connected_components(Complex(kcells)):
-        comps.append(StratumComponent(next_id, sub.dim, sub.faces))
-        next_id += 1
-    for cells in complement_components(dt.complex, kcells):
-        comps.append(StratumComponent(next_id, t.dim, cells))
-        next_id += 1
+    kcells = derived_image(dt, k).faces
+    off_k = {c: int(c not in kcells) for c in dt.complex.faces}
+    comps = [
+        StratumComponent(i, t.dim if off else max(map(len, cells)) - 1, cells)
+        for i, (off, cells) in enumerate(cell_components(dt.complex, off_k))
+    ]
     return component_poset(comps)
 
 
@@ -306,12 +302,11 @@ def nerve_checks(np_: NervePair, vertex_count: int, ambient_dim: int) -> NerveRe
     the spine has vertices."""
     n = np_.nerve
     d = ambient_dim
-    failures = []
     counts = ridge_incidence(n, d)
-    for s in n.faces_of_dim(d - 1):
-        c = counts[s]
-        if c not in (0, 2):
-            failures.append(f"codim-1 simplex {s} meets {c} top simplexes")
+    failures = [
+        f"codim-1 simplex {s} meets {counts[s]} top simplexes"
+        for s in sorted(s for s, c in counts.items() if c not in (0, 2))
+    ]
     pseudo_ok = not failures
     if n.dim > d:
         failures.append(f"nerve dim {n.dim} exceeds ambient dim {d}")

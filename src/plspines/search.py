@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from plspines.core import Complex, InvariantViolation
+from plspines.core import Complex
 from plspines.partitions import VertexPartition, vertex_partition
 from plspines.recognize import is_closed_manifold
 from plspines.spine import certify_class
@@ -26,8 +26,8 @@ from plspines.spine import certify_class
 
 @dataclass(frozen=True)
 class SearchResult:
-    best_partition: VertexPartition | None
-    best_count: int | None
+    best_partition: VertexPartition
+    best_count: int
     proven_exhaustive: bool
     # partitions built from certified classes; each one is certified
     partitions_examined: int
@@ -41,9 +41,9 @@ def search_min_vertices(t: Complex, cap: int = 100_000, seed: int = 0) -> Search
     """Minimize the vertex count over partitions with a "yes" certificate.
 
     Exhaustive (and proven so) when 2**(#vertices) fits the cap; otherwise
-    the discrete partition.  For closed manifolds of dimension at most 3
-    the discrete partition must certify, and if it does not the failure is
-    reported as a bug.
+    the discrete partition.  Either way an answer exists: a singleton class
+    spans a point, which ``certify_class`` always accepts, so the discrete
+    partition is always enumerated.
     """
     if not is_closed_manifold(t):
         raise ValueError("search requires a closed manifold triangulation")
@@ -76,13 +76,5 @@ def search_min_vertices(t: Complex, cap: int = 100_000, seed: int = 0) -> Search
         examined += 1
         if best is None or cand < best:
             best = cand
-
-    if best is None:
-        if t.dim <= 3:
-            raise InvariantViolation(
-                "no partition certified, but the discrete partition of a closed "
-                "manifold of dimension <= 3 must certify"
-            )
-        return SearchResult(None, None, exhaustive, examined)
     count, key = best
     return SearchResult(vertex_partition(t, key), count, exhaustive, examined)

@@ -4,7 +4,8 @@ The dual spine is a subcomplex of the derived triangulation T'.  Cells are
 recognized by a closed-form rule on chains: a chain of faces of T is a
 spine cell exactly when its minimal face meets at least two partition
 classes, and its type is d + 1 minus that number of classes.  ``dual_spine``
-returns the spine with these types; it is the one construction of the dual
+returns the spine with these types, both read in one pass over T' by
+``assign_types``; it is the one construction of the dual
 polyhedron, and the local models of :mod:`plspines.models` are built by it
 too.  The tests check it against the literal union-of-links construction
 (``dual_cells_direct`` in ``tests/helpers.py``) and the types against the
@@ -14,7 +15,7 @@ link oracle (:func:`plspines.strata.validate_types_against_links`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from plspines.collapse import collapses_onto, collapses_to_point
 from plspines.core import (
@@ -48,27 +49,24 @@ class SpineComplex:
         return Complex(self.cells)
 
 
-def _chain_min_vertex(derived_cx: DerivedComplex, cell: Face) -> Face:
-    """Minimal base face of the chain encoded by a derived face."""
-    fov = derived_cx.face_of_vertex
-    return min((fov[v] for v in cell), key=len)
-
-
 def assign_types(
-    dt: DerivedComplex, p: VertexPartition, cells: Iterable[Face], vertex_count: int
+    dt: DerivedComplex, p: VertexPartition, vertex_count: int
 ) -> dict[Face, int]:
-    """Type of each spine cell by the chain rule d + 1 - m(minimal face).
+    """The spine cells of T' = ``dt.complex`` with their types, in one pass.
 
-    Raises InvariantViolation when a cell meets fewer than two classes or
+    A face of T' is a chain of faces of T.  It is a spine cell exactly when
+    its least face meets m >= 2 classes, and then its type is d + 1 - m.
+    The classes meeting a face only grow along a chain, so m is the least
+    class count over the chain's faces.  Raises InvariantViolation when
     the type-0 cells do not number ``vertex_count``.
     """
     d = dt.base.dim
+    meets = {lab: p.classes_meeting(f) for f, lab in dt.vertex_of_face.items()}
     types: dict[Face, int] = {}
-    for cell in cells:
-        m = p.classes_meeting(_chain_min_vertex(dt, cell))
-        if m < 2:
-            raise InvariantViolation(f"spine cell {cell} meets fewer than 2 classes")
-        types[cell] = d + 1 - m
+    for cell in dt.complex.faces:
+        m = min(meets[v] for v in cell)
+        if m >= 2:
+            types[cell] = d + 1 - m
     count0 = sum(1 for k in types.values() if k == 0)
     if count0 != vertex_count:
         raise InvariantViolation(
@@ -113,22 +111,14 @@ def dual_spine(
     if check_boundary:
         check_boundary_respect(t, p)
     dt = derived(t)
-    meets = {
-        f: p.classes_meeting(f) for f in t.faces
-    }
-    fov = dt.face_of_vertex
-    cells = frozenset(
-        cell
-        for cell in dt.complex.faces
-        if meets[min((fov[v] for v in cell), key=len)] >= 2
-    )
     count = vertex_count(t, p)
+    types = assign_types(dt, p, count)
     return SpineComplex(
         ambient=t,
         derived=dt,
         partition=p,
-        cells=cells,
-        cell_type=assign_types(dt, p, cells, count),
+        cells=frozenset(types),
+        cell_type=types,
         vertex_count=count,
     )
 

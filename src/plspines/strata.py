@@ -8,13 +8,18 @@ read off its link (three-point / two-point links under a surface, and
 K4 / theta / circle links inside a 3-manifold), and the two must agree.
 ``dual_spine`` fills the types by the rule through ``assign_types``, which
 lives in :mod:`plspines.spine` and is re-exported here.
+
+Components are formed once, by ``cell_components``: one union-find over
+the faces of T' that joins codim-1 faces with equal labels.  The strata
+and the complement of a spine (``stratum_components``) and the two sides
+of a plain pair (``nerve.pair_component_poset``) differ only in the label.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Mapping
 
 from plspines.core import (
     Complex,
@@ -88,48 +93,56 @@ class StratumComponent:
     cells: frozenset[Face]
 
 
-def _components_of_cells(
-    cells: set[Face], neighbors: Callable[[Face], Iterable[Face]]
-) -> list[frozenset[Face]]:
-    """Group cells, joining each cell to its neighbors that are cells too;
-    components come ordered by their least cell."""
-    uf = _UnionFind(cells)
-    for c in cells:
-        for sub in neighbors(c):
-            if sub in cells:
-                uf.union(sub, c)
-    groups: dict[Face, set[Face]] = {}
-    for c in cells:
-        groups.setdefault(uf.find(c), set()).add(c)
-    return [frozenset(groups[r]) for r in sorted(groups)]
+def cell_components(
+    cx: Complex, label: Mapping[Face, int]
+) -> list[tuple[int, frozenset[Face]]]:
+    """Components of the faces of cx joined by codim-1 steps between faces
+    of equal label, as ``(label, cells)`` pairs in (label, least cell) order.
 
+    Both callers label the faces of T' = cx apart from a subcomplex S:
+    ``stratum_components`` labels a spine cell by its type and every other
+    face by d; ``nerve.pair_component_poset`` labels k' by 0 and every
+    other face by 1.  Inside S each label class is joined by codim-1 steps
+    by definition (the strata), or, for k', as face inclusion joins it:
 
-def complement_components(cx: Complex, cells: Iterable[Face]) -> list[frozenset[Face]]:
-    """Components of the faces of cx outside cells, joined by face inclusion."""
-    return _components_of_cells(set(cx.faces).difference(cells), proper_subfaces)
+    1. S is a subcomplex.  For the spine: a subchain's least face contains
+       the chain's least face, so it meets at least as many classes, and
+       a subchain of a spine cell is a spine cell.  k' is a subcomplex by
+       construction.
+    2. So the complement of S is upward closed: if s < c and s lies off S,
+       every face between them lies off S, and s reaches c by codim-1
+       steps off S.  Off S, codim-1 steps connect exactly what face
+       inclusion connects.
+    3. Inside k', a face reaches each of its vertices by codim-1 steps, so
+       the components are those that vertex connectivity gives
+       (``core.connected_components``).
+    4. A component of k' is a subcomplex, so its least cell is (v,) for
+       its least vertex v: ordering by least cell is ordering by least
+       vertex.  The ``_UnionFind`` root of a component is its least cell.
+    """
+    uf = _UnionFind(cx.faces)
+    for c in cx.faces:
+        if len(c) > 1:
+            k = label[c]
+            for f in itertools.combinations(c, len(c) - 1):
+                if label[f] == k:
+                    uf.union(f, c)
+    groups: dict[Face, list[Face]] = {}
+    for c in cx.faces:
+        groups.setdefault(uf.find(c), []).append(c)
+    roots = sorted(groups, key=lambda r: (label[r], r))
+    return [(label[r], frozenset(groups[r])) for r in roots]
 
 
 def stratum_components(s: SpineComplex) -> list[StratumComponent]:
-    """Connected components of equal-type spine cells, then the complement
-    components of T' appended as components of top type d."""
+    """Components of equal-type spine cells in (type, least cell) order,
+    then the components of the complement of the spine in T' as
+    components of type d."""
     d = s.ambient.dim
     types = s.cell_type
-    out: list[StratumComponent] = []
-    spine_cells = set(s.cells)
-
-    def same_type_facets(c: Face):
-        return (f for f in itertools.combinations(c, len(c) - 1) if types.get(f) == types[c])
-
-    comps = _components_of_cells(spine_cells, same_type_facets)
-    comps.sort(key=lambda cells: (types[min(cells)], min(cells)))
-    next_id = 0
-    for cells in comps:
-        out.append(StratumComponent(next_id, types[min(cells)], cells))
-        next_id += 1
-    for cells in complement_components(s.derived.complex, spine_cells):
-        out.append(StratumComponent(next_id, d, cells))
-        next_id += 1
-    return out
+    tp = s.derived.complex
+    comps = cell_components(tp, {c: types.get(c, d) for c in tp.faces})
+    return [StratumComponent(i, k, cells) for i, (k, cells) in enumerate(comps)]
 
 
 def validate_types_against_links(s: SpineComplex) -> int:

@@ -4,6 +4,7 @@ The oracles are independent constructions the package's own code is
 checked against; no module under ``src/`` calls them.
 """
 
+import itertools
 import random
 from typing import Sequence
 
@@ -28,10 +29,12 @@ from plspines.core import (
 )
 from plspines.homology import GF2Matrix
 from plspines.nerve import SteinFactorization
+from plspines.partitions import VertexPartition
 from plspines.recognize import classify_graph, is_pure, ridge_incidence
 from plspines.spine import SpineComplex
 from plspines.strata import (
     LinkClassificationError,
+    StratumComponent,
     _cell_point_link,
     classify_all_links,
     classify_point_link,
@@ -356,6 +359,60 @@ def spine_vertex_count_from_links(cx: Complex, ambient_dim: int) -> int:
     if ambient_dim == 1:
         return len(cx.vertices)
     return sum(1 for t in classify_all_links(cx, ambient_dim).values() if t == 0)
+
+
+def _components_of_cells(cells: set[Face], neighbors) -> list[frozenset[Face]]:
+    """Group cells, joining each cell to its neighbors that are cells too;
+    components come ordered by their least cell."""
+    groups: dict[Face, set[Face]] = {c: {c} for c in cells}
+    for c in cells:
+        for sub in neighbors(c):
+            if sub not in cells or groups[sub] is groups[c]:
+                continue
+            big, small = sorted((groups[sub], groups[c]), key=len, reverse=True)
+            big |= small
+            for x in small:
+                groups[x] = big
+    unique = {id(g): frozenset(g) for g in groups.values()}
+    return sorted(unique.values(), key=min)
+
+
+def _complement_components(cx: Complex, cells) -> list[frozenset[Face]]:
+    """Components of the faces of cx outside cells, joined by face inclusion."""
+    return _components_of_cells(set(cx.faces).difference(cells), proper_subfaces)
+
+
+def stratum_components_two_rule(s: SpineComplex) -> list[StratumComponent]:
+    """The oracle for ``strata.stratum_components``: equal-type spine cells
+    joined through their codim-1 faces, in (type, least cell) order, then
+    the complement of the spine in T' joined by face inclusion."""
+    d = s.ambient.dim
+    types = s.cell_type
+
+    def same_type_facets(c: Face):
+        return (f for f in itertools.combinations(c, len(c) - 1) if types.get(f) == types[c])
+
+    comps = _components_of_cells(set(s.cells), same_type_facets)
+    comps.sort(key=lambda cells: (types[min(cells)], min(cells)))
+    typed = [(types[min(cells)], cells) for cells in comps]
+    typed += [(d, cells) for cells in _complement_components(s.derived.complex, s.cells)]
+    return [StratumComponent(i, k, cells) for i, (k, cells) in enumerate(typed)]
+
+
+def pair_components_two_rule(t: Complex, k: Complex) -> list[StratumComponent]:
+    """The oracle for the components of ``nerve.pair_component_poset``: the
+    vertex-connected components of k' by least vertex, each typed by its
+    dimension, then the complement of k' in T' joined by face inclusion."""
+    dt = derived(t)
+    kcells = derived_image(dt, k).faces
+    typed = [(sub.dim, sub.faces) for sub in connected_components(Complex(kcells))]
+    typed += [(t.dim, cells) for cells in _complement_components(dt.complex, kcells)]
+    return [StratumComponent(i, k, cells) for i, (k, cells) in enumerate(typed)]
+
+
+def union_of_spans(t: Complex, p: VertexPartition) -> Complex:
+    """The subcomplex of t spanned by each class, taken together."""
+    return Complex(frozenset(f for f in t.faces if p.classes_meeting(f) == 1))
 
 
 # -- Stein factorization ----------------------------------------------------

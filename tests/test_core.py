@@ -211,6 +211,25 @@ class TestRegularNeighborhood:
         assert derived_star(cx, sub.vertices) == star(derived_image(d, sub), d.complex)
         assert regular_neighborhood(sub, cx) == regular_neighborhood_direct(sub, cx)
 
+    def test_derived_star_labels_only_the_faces_it_walks(self, sphere2, monkeypatch):
+        import plspines.core as core
+
+        tp = derived(sphere2).complex
+        v = tp.vertices[0]
+        labelled = []
+        orig = core.derived_vertex_label
+        monkeypatch.setattr(core, "derived_vertex_label", lambda f: labelled.append(f) or orig(f))
+        derived_star(tp, [v])
+        assert sorted(labelled) == sorted(tp.vertex_faces[v])
+
+    def test_derived_star_rejects_colliding_labels_it_walks(self):
+        cx = from_facets([["a,b"], ["a", "b"]])
+        # "(a,b)" labels both the edge ab and the vertex "a,b"; the star of
+        # (a) walks only the first
+        assert derived_star(cx, ["a"]).vertices == ("(a)", "(a,b)")
+        with pytest.raises(ValueError, match="collide"):
+            derived_star(cx, ["a", "a,b"])
+
 
 class TestJoinConeSuspension:
     def test_s0_join_s0(self):

@@ -28,8 +28,8 @@ from plspines.drill import (
     sample_drill_points,
 )
 from plspines.homology import hypersurface_from_class, top_cycle_supports
-from plspines.models import catalogue_names, named_triangulation
-from plspines.partitions import discrete, single_class
+from plspines.models import boundary_sphere, catalogue_names, named_triangulation
+from plspines.partitions import discrete, one_vs_rest, single_class
 from plspines.recognize import boundary_complex
 from plspines.search import search_min_vertices
 from plspines.spine import dual_spine, verify_spine
@@ -113,8 +113,16 @@ class TestCut:
 
     def test_dimension_two_rejected(self, equator_ctx):
         circle = equator_ctx.spine.as_complex()
-        with pytest.raises(ValueError, match="dimension >= 3"):
+        with pytest.raises(ValueError, match="dimension 3, got 2"):
             cut_along_hypersurface(equator_ctx, circle)
+
+    def test_dimension_four_rejected(self):
+        # the non-increase theorem is stated for d = 3: a valid cut in d = 4
+        # is refused as input, not reported as a bug
+        t = boundary_sphere(4)
+        s = dual_spine(t, one_vs_rest(t))
+        with pytest.raises(ValueError, match="dimension 3, got 4"):
+            cut_along_hypersurface(prepare(s), s.as_complex())
 
     def test_cut_never_increases_count(self, pentachoron_drill_ctx):
         ctx = pentachoron_drill_ctx

@@ -5,7 +5,7 @@ import pytest
 
 from plspines.collapse import collapses_to_point
 from plspines.core import derived, from_facets, join
-from plspines.models import boundary_sphere, catalogue_names, named_triangulation, simplex
+from plspines.models import CATALOGUE, boundary_sphere, catalogue_names, named_triangulation, simplex
 from plspines.partitions import discrete, one_vs_rest, single_class, vertex_partition
 from plspines.recognize import euler_characteristic
 from plspines import spine
@@ -205,6 +205,13 @@ class TestCertifyClass:
         t = named_triangulation(name)
         for cls in _all_classes(t):
             assert certify_class(t, cls) == region_certified(t, cls), sorted(cls)
+
+    def test_every_singleton_certifies(self):
+        # search always has the discrete partition to fall back on
+        for name, kind in CATALOGUE.items():
+            if kind.startswith("closed"):
+                t = named_triangulation(name)
+                assert all(certify_class(t, frozenset({v})) for v in t.vertices), name
 
     def test_span_answers_every_genus2_class(self, monkeypatch):
         # 833 classes have a span component with chi != 1, the other 190

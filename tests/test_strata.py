@@ -2,8 +2,9 @@ from collections import Counter
 
 import pytest
 
-from plspines.models import named_triangulation, pi_boundary
-from plspines.partitions import discrete, one_vs_rest, vertex_partition
+from plspines.models import catalogue_names, named_triangulation, pi_boundary
+from plspines.nerve import pair_component_poset
+from plspines.partitions import discrete, one_vs_rest, single_class, vertex_partition
 from plspines.recognize import classify_graph
 from plspines.spine import dual_spine
 from plspines.strata import (
@@ -11,7 +12,13 @@ from plspines.strata import (
     stratum_components,
     validate_types_against_links,
 )
-from helpers import classify_link_lowdim, spine_vertex_count_from_links
+from helpers import (
+    classify_link_lowdim,
+    pair_components_two_rule,
+    spine_vertex_count_from_links,
+    stratum_components_two_rule,
+    union_of_spans,
+)
 
 
 class TestAssignTypes:
@@ -162,3 +169,17 @@ class TestOracleAgreement:
         for n in (1, 2, 3):
             m = pi_boundary(n, 0)
             assert spine_vertex_count_from_links(m.model, n) == n + 2
+
+
+class TestComponentRule:
+    def test_one_rule_matches_the_two_rule_oracle(self):
+        # ids, types and cells of the strata and of a plain pair's components
+        # equal the parent's two rules, so the component order is pinned too
+        for name in catalogue_names():
+            t = named_triangulation(name)
+            for p in (discrete(t), single_class(t), one_vs_rest(t)):
+                s = dual_spine(t, p, check_boundary=False)
+                assert stratum_components(s) == stratum_components_two_rule(s), name
+                k = union_of_spans(t, p)
+                got = list(pair_component_poset(t, k).components)
+                assert got == pair_components_two_rule(t, k), name
