@@ -34,7 +34,7 @@ from plspines.partitions import (
 )
 from plspines.recognize import euler_characteristic
 from plspines.search import search_min_vertices
-from plspines.spine import dual_spine, verify_spine, vertex_count
+from plspines.spine import dual_spine, verify_spine
 from plspines.strata import stratum_components
 
 EXIT_INPUT = 1
@@ -221,7 +221,7 @@ def dual_spine_cmd(ctx, t, p):
 @click.pass_context
 def verify_spine_cmd(ctx, t, p):
     """Certify the spine by collapsing the complement regions."""
-    cert = verify_spine(t, p, seed=ctx.obj["seed"])
+    cert = verify_spine(dual_spine(t, p), seed=ctx.obj["seed"])
     click.echo(f"certificate: {cert.certificate}")
     click.echo(f"vertices: {cert.vertices}")
     for r in cert.region_reports:
@@ -273,11 +273,12 @@ def nerve(t, p):
     from plspines.nerve import nerve as nerve_fn
     from plspines.nerve import nerve_checks
 
-    np_ = nerve_fn(t, p)
+    s = dual_spine(t, p)
+    np_ = nerve_fn(s)
     click.echo(f"prenerve f-vector: {' '.join(map(str, np_.prenerve.f_vector()))}")
     click.echo(f"nerve f-vector: {' '.join(map(str, np_.nerve.f_vector()))}")
     click.echo(f"nerve dim: {np_.nerve.dim}")
-    rep = nerve_checks(np_, vertex_count(t, p), t.dim)
+    rep = nerve_checks(np_, s.vertex_count, t.dim)
     _echo_nerve_checks(rep)
     if not rep.ok:
         raise InvariantViolation("; ".join(rep.failures))
@@ -363,7 +364,7 @@ def report(ctx, t, p):
     click.echo(f"euler: {euler_characteristic(t)}")
     click.echo("partition: " + " | ".join(" ".join(c) for c in p.canonical_key()))
     s = dual_spine(t, p)
-    cert = verify_spine(t, p, seed=ctx.obj["seed"])
+    cert = verify_spine(s, seed=ctx.obj["seed"])
     click.echo(f"vertices: {s.vertex_count}")
     click.echo(f"certificate: {cert.certificate}")
     comps = stratum_components(s)

@@ -53,12 +53,10 @@ def greedy_collapse(cx: Complex, seed: int = 0, keep: Complex | None = None) -> 
     return Complex(frozenset(live))
 
 
-def _restarts(
-    cx: Complex, keep: Complex | None, size: int, restarts: int, seed: int
-) -> bool:
-    """Seeded greedy runs until one leaves ``size`` faces; a run that
-    removes nothing finds no free pair, an exact "no" for every run."""
-    for s in range(restarts):
+def _restarts(cx: Complex, keep: Complex | None, size: int, seed: int) -> bool:
+    """Up to DEFAULT_RESTARTS seeded greedy runs, until one leaves ``size``
+    faces; a run that removes nothing finds no free pair: "no" for all."""
+    for s in range(DEFAULT_RESTARTS):
         left = len(greedy_collapse(cx, seed=seed + s, keep=keep).faces)
         if left == size:
             return True
@@ -67,9 +65,7 @@ def _restarts(
     return False
 
 
-def collapses_to_point(
-    cx: Complex, restarts: int = DEFAULT_RESTARTS, seed: int = 0
-) -> bool:
+def collapses_to_point(cx: Complex, seed: int = 0) -> bool:
     """Ball certificate: some seeded run collapses cx to one vertex.
 
     ``False`` is exact when the Euler characteristic is not 1 or when cx
@@ -79,12 +75,10 @@ def collapses_to_point(
         return False
     if len(cx.faces) == 1:
         return True
-    return _restarts(cx, None, 1, restarts, seed)
+    return _restarts(cx, None, 1, seed)
 
 
-def collapses_onto(
-    cx: Complex, target: Complex, restarts: int = DEFAULT_RESTARTS, seed: int = 0
-) -> bool:
+def collapses_onto(cx: Complex, target: Complex, seed: int = 0) -> bool:
     """Certificate that cx collapses onto the subcomplex target.
 
     ``False`` is exact when the Euler characteristics differ or when no
@@ -98,4 +92,4 @@ def collapses_onto(
         return True
     if euler_characteristic(cx) != euler_characteristic(target):
         return False
-    return _restarts(cx, target, len(target.faces), restarts, seed)
+    return _restarts(cx, target, len(target.faces), seed)

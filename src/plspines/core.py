@@ -247,7 +247,6 @@ class DerivedComplex:
     base: Complex
     complex: Complex
     vertex_of_face: Mapping[Face, str]
-    face_of_vertex: Mapping[str, Face]
 
 
 def derived_vertex_label(face: Face) -> str:
@@ -283,7 +282,7 @@ def derived(cx: Complex) -> DerivedComplex:
     """Complex of chains of faces of cx, with deterministic vertex labels."""
     label = derived_labels(cx.faces_sorted)
     dc = Complex(frozenset(chains(cx.proper_cofaces, label, cx.faces_sorted)))
-    return DerivedComplex(cx, dc, label, {lab: f for f, lab in label.items()})
+    return DerivedComplex(cx, dc, label)
 
 
 def derived_star(cx: Complex, vertices: Iterable[str]) -> Complex:

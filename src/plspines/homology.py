@@ -42,6 +42,8 @@ class GF2Matrix:
 
     @property
     def size(self) -> int:
+        """rows x cols, the dense measure the traced ``homology.gf2_rank_cells``
+        reports; not the reduction's work (its XORs of bit-packed columns)."""
         return self.rows * len(self.columns)
 
 

@@ -7,9 +7,9 @@ from dataclasses import dataclass
 from importlib import resources
 
 from plspines.collapse import collapses_to_point
-from plspines.core import Complex, InvariantViolation, from_facets
+from plspines.core import Complex, InvariantViolation, derived, from_facets
 from plspines.partitions import VertexPartition, vertex_partition
-from plspines.spine import dual_spine
+from plspines.spine import assign_types, dual_spine, vertex_count
 
 
 def simplex(n: int) -> Complex:
@@ -42,13 +42,17 @@ class LocalModel:
 def dual_model(n: int, partition: VertexPartition) -> LocalModel:
     """Polyhedron dual to a vertex partition of the (n+1)-simplex.
 
-    Built by the chain rule of ``dual_spine``; the simplex's boundary need
-    not be respected.  With k+1 classes the result is a copy of the local
-    model of codimension n+1-k; with two or more classes its dimension and
+    Built by the chain rule of ``dual_spine`` through ``assign_types``,
+    without its checks: the partition need not respect the simplex's
+    boundary.  With k+1 classes the result is a copy of the local model of
+    codimension n+1-k; with two or more classes its dimension and
     collapsibility are verified on construction.
     """
-    s = dual_spine(simplex(n + 1), partition, check_boundary=False)
-    model = s.as_complex()
+    amb = simplex(n + 1)
+    if partition.base.faces != amb.faces:
+        raise ValueError("partition is not over the (n+1)-simplex")
+    dt = derived(amb)
+    model = Complex(assign_types(dt, partition, vertex_count(amb, partition)))
     k = n + 2 - len(partition.classes)
     if k <= n:  # with one class no face meets two classes: the model is empty
         if model.dim != n:
@@ -57,7 +61,7 @@ def dual_model(n: int, partition: VertexPartition) -> LocalModel:
             )
         if not collapses_to_point(model):
             raise InvariantViolation("dual model did not collapse to a point")
-    return LocalModel(s.derived.complex, model, n, k)
+    return LocalModel(dt.complex, model, n, k)
 
 
 def pi_boundary(n: int, k: int = 0) -> LocalModel:

@@ -33,9 +33,8 @@ from plspines.core import (
     derived_image,
     derived_labels,
 )
-from plspines.partitions import VertexPartition
 from plspines.recognize import ridge_incidence
-from plspines.spine import dual_spine
+from plspines.spine import SpineComplex
 from plspines.strata import StratumComponent, cell_components, stratum_components
 
 
@@ -46,13 +45,14 @@ from plspines.strata import StratumComponent, cell_components, stratum_component
 class SteinFactorization:
     """f' = g o h with h having connected fibers and g finite-to-one.
 
-    h is kept as its vertex map ``h_assignment`` from the derived source
-    to the middle; the derived source itself is never built here.
+    h and g are kept as vertex maps, ``h_assignment`` from the derived
+    source and ``g_assignment`` to the derived target; neither is built.
     """
 
     source: Complex  # source of f; h starts at its derived complex
+    target: Complex  # target of f; g ends at its derived complex
     h_assignment: Mapping[str, str]
-    g: SimplicialMap
+    g_assignment: Mapping[str, str]
     middle: Complex
 
 
@@ -82,7 +82,7 @@ def _facet_chain_images(
 
 def stein(f: SimplicialMap) -> SteinFactorization:
     """Stein factorization of the derived map f' of f, read off the face
-    poset of the source without building its derived complex.
+    posets of source and target without building either derived complex.
 
     The vertices of the derived source are the faces s of the source,
     labelled ``derived_vertex_label(s)``, its faces are the chains of
@@ -108,26 +108,26 @@ def stein(f: SimplicialMap) -> SteinFactorization:
        the facets alone; no purity is needed.  A face is a facet exactly
        when it is no codim-1 subface of another face, since downward
        closure puts a codim-1 step below any proper coface.
-    4. Checks.  g is validated as a simplicial map and g o h = f' is
-       checked on every vertex.  Every middle face is h(c) for a chain c,
-       so f'(c) = g(h(c)) is a face: together the two checks re-prove
-       that f' is simplicial.
+    4. Maps.  f was validated when it was built, so f' is simplicial.
+       g o h = f' is checked on every vertex.  Every middle face is h(c)
+       for a chain c, so g(h(c)) = f'(c) is a face: g is simplicial, and
+       no map is validated face by face here.
 
     Layout: faces of the source are ints, numbered in the order of their
     derived labels, so the least id of a fiber component, its
     ``_UnionFind`` root, is its least label.  Middle vertices are ints
     numbered in the order of their ``w/i`` labels, and a chain image is
     an int bitmask over them; its set bits, lowest first, are a sorted
-    middle face.  Labels come back only for ``middle``, ``g`` and
-    ``h_assignment``.
+    middle face.  Labels come back only for ``middle``, ``g_assignment``
+    and ``h_assignment``.
     """
     src = f.source
-    dtgt = derived(f.target)
+    tlabel = derived_labels(f.target.faces)
     label = derived_labels(src.faces)
     faces = sorted(label, key=label.__getitem__)
     n = len(faces)
     fid = {s: i for i, s in enumerate(faces)}
-    a = [dtgt.vertex_of_face[f.image(s)] for s in faces]  # f'
+    a = [tlabel[f.image(s)] for s in faces]  # f'
     below: list[list[int]] = []  # codim-1 subfaces
     covered = bytearray(n)  # 1 for a codim-1 subface of some face
     layers: list[list[int]] = [[] for _ in range(src.dim + 1)]  # by size
@@ -164,12 +164,11 @@ def stein(f: SimplicialMap) -> SteinFactorization:
     middle = Complex(closure_faces(top_faces))
 
     g_assign = {lab: a[r] for r, lab in names.items()}
-    g = SimplicialMap(middle, dtgt.complex, g_assign)
     h_assign = {label[s]: mlabels[m] for s, m in zip(faces, h)}
     for m, w in zip(h, a):
         if g_assign[mlabels[m]] != w:
             raise InvariantViolation("Stein factorization does not compose to f'")
-    return SteinFactorization(src, h_assign, g, middle)
+    return SteinFactorization(src, f.target, h_assign, g_assign, middle)
 
 
 # -- component posets ---------------------------------------------------------
@@ -268,9 +267,9 @@ def nerve_of_poset(t: Complex, poset: ComponentPoset) -> NervePair:
     )
 
 
-def nerve(t: Complex, p: VertexPartition) -> NervePair:
-    """The nerve of the pair (t, dual spine of p), strata by the chain rule."""
-    return nerve_of_poset(t, component_poset(stratum_components(dual_spine(t, p))))
+def nerve(s: SpineComplex) -> NervePair:
+    """The nerve of the pair (ambient, spine), strata by the chain rule."""
+    return nerve_of_poset(s.ambient, component_poset(stratum_components(s)))
 
 
 def nerve_of_pair(t: Complex, k: Complex) -> NervePair:

@@ -3,11 +3,11 @@
 The dual spine is a subcomplex of the derived triangulation T'.  Cells are
 recognized by a closed-form rule on chains: a chain of faces of T is a
 spine cell exactly when its minimal face meets at least two partition
-classes, and its type is d + 1 minus that number of classes.  ``dual_spine``
-returns the spine with these types, both read in one pass over T' by
-``assign_types``; it is the one construction of the dual
-polyhedron, and the local models of :mod:`plspines.models` are built by it
-too.  The tests check it against the literal union-of-links construction
+classes, and its type is d + 1 minus that number of classes, both read in
+one pass over T' by ``assign_types``.  ``dual_spine`` checks the pair once
+(T pure, the partition respecting its boundary), so a ``SpineComplex`` is
+a checked spine and ``regions`` and ``verify_spine`` take it as is.  The
+tests check the rule against the literal union-of-links construction
 (``dual_cells_direct`` in ``tests/helpers.py``) and the types against the
 link oracle (:func:`plspines.strata.validate_types_against_links`).
 """
@@ -36,7 +36,7 @@ from plspines.recognize import boundary_complex, euler_characteristic, is_pure
 
 @dataclass(frozen=True, eq=False)
 class SpineComplex:
-    """Dual spine: cells of T' with type labels and the vertex count."""
+    """Checked dual spine (see ``dual_spine``): typed cells of T', vertex count."""
 
     ambient: Complex
     derived: DerivedComplex
@@ -96,9 +96,7 @@ def vertex_count(t: Complex, p: VertexPartition) -> int:
     return sum(1 for f in t.facets if len({class_of[v] for v in f}) == d + 1)
 
 
-def dual_spine(
-    t: Complex, p: VertexPartition, check_boundary: bool = True
-) -> SpineComplex:
+def dual_spine(t: Complex, p: VertexPartition) -> SpineComplex:
     """Build the spine dual to (t, p) as a subcomplex of T', with the type
     of every cell.
 
@@ -108,8 +106,7 @@ def dual_spine(
         raise ValueError("triangulation is not pure")
     if p.base.faces != t.faces:
         raise ValueError("partition is not over this complex")
-    if check_boundary:
-        check_boundary_respect(t, p)
+    check_boundary_respect(t, p)
     dt = derived(t)
     count = vertex_count(t, p)
     types = assign_types(dt, p, count)
@@ -139,18 +136,13 @@ def boundary_in_t2(t: Complex) -> Complex:
     return derived(derived_image(derived(t), bd)).complex
 
 
-def regions(
-    t: Complex, p: VertexPartition
-) -> tuple[tuple[frozenset[str], Complex], ...]:
-    """The ``(class, region)`` pairs of (t, p): each class's region in T'',
-    in class order.  Distinct regions share no face: by ``derived_star`` a
-    face c of T'' is in a class's region exactly when the least face of T
-    in the least T' face of c has its vertices in that class, and a face
-    of T has that for at most one class."""
-    if not is_pure(t):
-        raise ValueError("triangulation is not pure")
-    check_boundary_respect(t, p)
-    return tuple((cls, region_of_class(t, cls)) for cls in p.classes)
+def regions(s: SpineComplex) -> tuple[tuple[frozenset[str], Complex], ...]:
+    """The ``(class, region)`` pairs of the spine's pair: each class's
+    region in T'', in class order.  Distinct regions share no face: by
+    ``derived_star`` a face c of T'' is in a class's region exactly when
+    the least face of T in the least T' face of c has its vertices in that
+    class, and a face of T has that for at most one class."""
+    return tuple((cls, region_of_class(s.ambient, cls)) for cls in s.partition.classes)
 
 
 # -- spine certificate -------------------------------------------------------
@@ -219,7 +211,7 @@ def certify_class(t: Complex, cls: frozenset[str], seed: int = 0) -> bool:
     )
 
 
-def verify_spine(t: Complex, p: VertexPartition, seed: int = 0) -> SpineCertificate:
+def verify_spine(s: SpineComplex, seed: int = 0) -> SpineCertificate:
     """Certify that the dual spine is a spine by checking its complement.
 
     Interior region components must collapse to a point (a ball certificate,
@@ -227,16 +219,16 @@ def verify_spine(t: Complex, p: VertexPartition, seed: int = 0) -> SpineCertific
     collapse onto their boundary part (a collar certificate).  A failed
     collapse yields "unknown", never "not a spine".
     """
-    bd2 = boundary_in_t2(t)
+    bd2 = boundary_in_t2(s.ambient)
     reports = []
     all_ok = True
-    for ci, (cls, mv) in enumerate(regions(t, p)):
+    for ci, (cls, mv) in enumerate(regions(s)):
         for ki, comp in enumerate(connected_components(mv)):
             kind, ok, nfaces = certify_region_component(comp, bd2, seed=seed)
             reports.append(RegionReport(ci, ki, kind, ok, nfaces))
             all_ok = all_ok and ok
     if all_ok:
-        cert = "yes" if t.dim <= 3 else "yes (heuristic)"
+        cert = "yes" if s.ambient.dim <= 3 else "yes (heuristic)"
     else:
         cert = "unknown"
-    return SpineCertificate(cert, vertex_count(t, p), tuple(reports))
+    return SpineCertificate(cert, s.vertex_count, tuple(reports))

@@ -31,7 +31,7 @@ from plspines.homology import GF2Matrix
 from plspines.nerve import SteinFactorization
 from plspines.partitions import VertexPartition
 from plspines.recognize import classify_graph, is_pure, ridge_incidence
-from plspines.spine import SpineComplex
+from plspines.spine import SpineComplex, assign_types, vertex_count
 from plspines.strata import (
     LinkClassificationError,
     StratumComponent,
@@ -201,7 +201,8 @@ def validate_complex(cx: Complex) -> None:
 
 def chain_of(dc: DerivedComplex, dface: Face) -> tuple[Face, ...]:
     """Decode a derived face into its chain of base faces, ascending."""
-    return tuple(sorted((dc.face_of_vertex[v] for v in dface), key=len))
+    face_of = {lab: f for f, lab in dc.vertex_of_face.items()}
+    return tuple(sorted((face_of[v] for v in dface), key=len))
 
 
 def _vertex_signature(cx: Complex) -> dict[str, tuple]:
@@ -337,10 +338,19 @@ def regular_neighborhood_direct(sub: Complex, amb: Complex) -> Complex:
 
 def spine_neighborhood(t: Complex, regions) -> Complex:
     """Closure in T'' of the faces outside every region of ``regions``,
-    the ``(class, region)`` pairs of ``spine.regions(t, p)``."""
+    the ``(class, region)`` pairs of ``spine.regions(s)``."""
     t2 = derived(derived(t).complex).complex
     covered = set().union(*(mv.faces for _, mv in regions))
     return Complex(closure_faces(f for f in t2.faces if f not in covered))
+
+
+def unchecked_spine(t: Complex, p: VertexPartition) -> SpineComplex:
+    """The spine of (t, p) by the chain rule, without ``dual_spine``'s
+    checks: the partition may split a boundary component of t."""
+    dt = derived(t)
+    count = vertex_count(t, p)
+    types = assign_types(dt, p, count)
+    return SpineComplex(t, dt, p, frozenset(types), types, count)
 
 
 def classify_link_lowdim(s: SpineComplex, cell: Face) -> int:
@@ -424,9 +434,17 @@ def stein_h(sf: SteinFactorization) -> SimplicialMap:
     return SimplicialMap(derived(sf.source).complex, sf.middle, sf.h_assignment)
 
 
+def stein_g(sf: SteinFactorization) -> SimplicialMap:
+    """g of the factorization, from the middle to the derived target (built
+    here); constructing the map validates it."""
+    return SimplicialMap(sf.middle, derived(sf.target).complex, sf.g_assignment)
+
+
 def stein_checks(sf: SteinFactorization) -> list[str]:
-    """Violations of the two Stein properties; empty list when clean."""
+    """Violations of the two Stein properties; empty list when clean.
+    Building h and g validates both as simplicial maps."""
     h = stein_h(sf)
+    g = stein_g(sf)
     problems = []
     fibers: dict[str, list[Face]] = {m: [] for m in sf.middle.vertices}
     for face in h.source.faces:
@@ -438,6 +456,6 @@ def stein_checks(sf: SteinFactorization) -> list[str]:
         if sub.is_empty or len(connected_components(sub)) != 1:
             problems.append(f"fiber over {m} is not connected")
     for face in sf.middle.faces:
-        if len(sf.g.image(face)) != len(face):
+        if len(g.image(face)) != len(face):
             problems.append(f"g collapses the face {face}")
     return problems

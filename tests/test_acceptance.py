@@ -146,7 +146,7 @@ def test_criterion_7_drilling_preserves_vertices(pentachoron_drill_ctx):
         if t.dim != 3:
             continue
         for p in (discrete(t), one_vs_rest(t)):
-            if not verify_spine(t, p).is_yes:
+            if not verify_spine(dual_spine(t, p)).is_yes:
                 continue
             s = dual_spine(t, p)
             if p == discrete(t):
@@ -164,10 +164,10 @@ def test_criterion_7_drilling_preserves_vertices(pentachoron_drill_ctx):
 def test_criterion_8_nerve_theorems_on_catalogue():
     checked = 0
     for name, label, t, p in catalogue_spine_family():
-        if not verify_spine(t, p).is_yes:
+        if not verify_spine(dual_spine(t, p)).is_yes:
             continue
         s = dual_spine(t, p)
-        np_ = nerve(t, p)
+        np_ = nerve(dual_spine(t, p))
         rep = nerve_checks(np_, s.vertex_count, t.dim)
         assert rep.pseudomanifold_ok, (name, label, rep.failures)
         assert rep.dim_iff_vertices_ok, (name, label, rep.failures)
@@ -191,7 +191,7 @@ def test_criterion_9_type_formula_validation():
 
 def test_criterion_10_singular_simplex_count():
     t = boundary_sphere(2)
-    np_ = nerve(t, discrete(t))
+    np_ = nerve(dual_spine(t, discrete(t)))
     tops = len(np_.nerve.faces_of_dim(2))
     assert tops == 4 * 36  # one twice-subdivided simplex per spine vertex
     independent = rainbow_top_chain_count(t, np_.poset)

@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import json
 import os
 import shlex
 import subprocess
@@ -342,3 +343,36 @@ def test_traced_harness_names_resolve(monkeypatch):
     assert callable(plspines.core.derived.cache_info)
     for name in plspines.__all__:
         assert getattr(plspines, name) is not None, name
+
+
+TRACED_RUNS = [
+    ["report", "--name", "S2_tetra"],
+    ["search", "--name", "S2_tetra"],
+    ["drill", "--name", "S3_pentachoron", "--partition", "discrete", "--points", "2"],
+    ["homology", "--name", "T2_7"],
+]
+
+
+def test_traced_harness_runs_end_to_end(tmp_path):
+    # bench/traced_cli.py reads attributes off package results (Stein's
+    # middle, the search counts, matrix sizes, derived levels); a changed
+    # field would otherwise show only in a traced benchmark run
+    script = Path(__file__).resolve().parents[1] / "bench" / "traced_cli.py"
+    env = _env(PYTHONHASHSEED="0", PYTHONDONTWRITEBYTECODE="1")
+    attrs: dict[str, set[str]] = {}
+    for i, args in enumerate(TRACED_RUNS):
+        spans_path = tmp_path / f"spans{i}.json"
+        traced = subprocess.run([sys.executable, str(script), str(spans_path), *args],
+                                capture_output=True, text=True, timeout=300, env=env)
+        plain = subprocess.run([sys.executable, "-m", "plspines", *args],
+                               capture_output=True, text=True, timeout=300, env=env)
+        assert (traced.returncode, traced.stdout) == (plain.returncode, plain.stdout), args
+        for name, _, _, _, span_attrs in json.loads(spans_path.read_text())["spans"]:
+            attrs.setdefault(name, set()).update(span_attrs or ())
+    for name, attr in [
+        ("nerve.stein", "middle"),
+        ("search.search_min_vertices", "certified"),
+        ("homology.gf2_rank", "cells"),
+        ("core.derived", "faces"),
+    ]:
+        assert attr in attrs.get(name, ()), (name, attr)

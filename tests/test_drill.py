@@ -319,8 +319,8 @@ def _non_full_drill(t):
 
 
 @pytest.mark.parametrize("job,name,level", [
-    (lambda t: verify_spine(t, discrete(t)), "T2_7", 1),
-    (lambda t: verify_spine(t, single_class(t)), "D2_triangle", 1),
+    (lambda t: verify_spine(dual_spine(t, discrete(t))), "T2_7", 1),
+    (lambda t: verify_spine(dual_spine(t, single_class(t))), "D2_triangle", 1),
     # RP2_6's whole-vertex class gets stuck on its span and falls back to its
     # region; no class of T2_7 reaches its region
     (search_min_vertices, "RP2_6", 1),

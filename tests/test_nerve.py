@@ -63,7 +63,7 @@ class TestStein:
         # computed fiber sizes 3 + 3 + 6
         from collections import Counter
 
-        sizes = sorted(Counter(sf.g.assignment.values()).values())
+        sizes = sorted(Counter(sf.g_assignment.values()).values())
         assert sizes == [3, 3, 6]
         assert stein_checks(sf) == []
 
@@ -119,7 +119,7 @@ def _assert_matches_oracle(f: SimplicialMap):
     h_assign, g_assign, middle = _stein_on_derived_source(f)
     sf = stein(f)
     assert dict(sf.h_assignment) == h_assign
-    assert dict(sf.g.assignment) == g_assign
+    assert dict(sf.g_assignment) == g_assign
     assert sf.middle.faces == middle
 
 
@@ -187,7 +187,7 @@ class TestSteinOnFacePoset:
             return derived(cx)
 
         monkeypatch.setattr(plspines.nerve, "derived", spy)
-        np_ = nerve(t, discrete(t))
+        np_ = nerve(dual_spine(t, discrete(t)))
         assert seen and all(cx != t2 for cx in seen)
         assert np_.stein.source == t2
         h = stein_h(np_.stein)  # validated against T''', built here
@@ -203,12 +203,12 @@ class TestPrenerve:
         assert np_.prenerve.f_vector() == (2, 1)
 
     def test_equator_prenerve_is_path(self, sphere2, equator_partition):
-        np_ = nerve(sphere2, equator_partition)
+        np_ = nerve(dual_spine(sphere2, equator_partition))
         assert np_.prenerve.f_vector() == (3, 2)
         assert is_arc(np_.prenerve)
 
     def test_k4_prenerve_has_full_chains(self, sphere2):
-        np_ = nerve(sphere2, discrete(sphere2))
+        np_ = nerve(dual_spine(sphere2, discrete(sphere2)))
         assert np_.prenerve.dim == 2
         assert len(np_.prenerve.faces_of_dim(2)) > 0
 
@@ -222,12 +222,12 @@ class TestNerve:
         assert betti(np_.nerve, 1) == 1
 
     def test_equator_nerve_is_subdivided_path(self, sphere2, equator_partition):
-        np_ = nerve(sphere2, equator_partition)
+        np_ = nerve(dual_spine(sphere2, equator_partition))
         assert np_.nerve.dim == 1
         assert betti(np_.nerve, 1) == 0
 
     def test_k4_nerve_dim_two(self, sphere2):
-        np_ = nerve(sphere2, discrete(sphere2))
+        np_ = nerve(dual_spine(sphere2, discrete(sphere2)))
         assert np_.nerve.dim == 2
         # for the discrete partition the nerve reproduces T''
         from plspines.core import derived
@@ -236,20 +236,37 @@ class TestNerve:
         assert np_.nerve.f_vector() == t2.f_vector()
 
     def test_nerve_map_surjective_with_connected_fibers(self, sphere2):
-        np_ = nerve(sphere2, discrete(sphere2))
+        np_ = nerve(dual_spine(sphere2, discrete(sphere2)))
         assert set(stein_h(np_.stein).assignment.values()) == set(np_.nerve.vertices)
         assert stein_checks(np_.stein) == []
 
 
+    def test_nerve_validates_only_the_prenerve_map(self, monkeypatch, sphere2):
+        # g comes back as a vertex map: the pre-nerve map, Stein's input, is
+        # the one SimplicialMap built and validated
+        s = dual_spine(sphere2, discrete(sphere2))
+        built = []
+        real = SimplicialMap.__post_init__
+
+        def spy(self):
+            built.append(self)
+            real(self)
+
+        monkeypatch.setattr(SimplicialMap, "__post_init__", spy)
+        np_ = nerve(s)
+        assert len(built) == 1
+        assert built[0].target is np_.prenerve
+
+
 class TestNerveChecks:
     def test_equator_report(self, sphere2, equator_partition):
-        np_ = nerve(sphere2, equator_partition)
+        np_ = nerve(dual_spine(sphere2, equator_partition))
         rep = nerve_checks(np_, 0, 2)
         assert rep.ok
         assert rep.nerve_dim == 1
 
     def test_k4_report(self, sphere2):
-        np_ = nerve(sphere2, discrete(sphere2))
+        np_ = nerve(dual_spine(sphere2, discrete(sphere2)))
         rep = nerve_checks(np_, 4, 2)
         assert rep.ok
         assert rep.nerve_dim == 2
@@ -260,7 +277,7 @@ class TestNerveChecks:
         p = vertex_partition(
             torus7, [["t0"], ["t1", "t2", "t4"], ["t3", "t5", "t6"]]
         )
-        np_ = nerve(torus7, p)
+        np_ = nerve(dual_spine(torus7, p))
         rep = nerve_checks(np_, vertex_count(torus7, p), 2)
         assert rep.ok
         assert rep.nerve_dim == 2
@@ -268,7 +285,7 @@ class TestNerveChecks:
 
 class TestSingularSimplexCount:
     def test_k4_top_nerve_simplex_count(self, sphere2):
-        np_ = nerve(sphere2, discrete(sphere2))
+        np_ = nerve(dual_spine(sphere2, discrete(sphere2)))
         tops = len(np_.nerve.faces_of_dim(2))
         # one singular simplex per spine vertex, each contributing the 36
         # triangles of a twice-subdivided triangle

@@ -23,6 +23,7 @@ from helpers import (
     region_certified,
     set_partitions,
     spine_neighborhood,
+    unchecked_spine,
     validate_complex,
 )
 
@@ -72,7 +73,7 @@ class TestDualSpine:
             if t.dim != d:
                 continue
             p = vertex_partition(t, random_partition_blocks(rng, t.vertices))
-            s = dual_spine(t, p, check_boundary=False)
+            s = unchecked_spine(t, p)
             assert s.cells == dual_cells_direct(t, p.classes), (t.facets, p)
             cases += 1
         # every set partition of the simplexes and spheres the local models
@@ -81,7 +82,7 @@ class TestDualSpine:
         for t in ambients:
             for blocks in set_partitions(t.vertices):
                 p = vertex_partition(t, blocks)
-                s = dual_spine(t, p, check_boundary=False)
+                s = unchecked_spine(t, p)
                 assert s.cells == dual_cells_direct(t, p.classes), (t.facets, p)
                 cases += 1
         assert cases == 100 + 94
@@ -107,13 +108,13 @@ class TestVertexCount:
 
 class TestRegions:
     def test_equator_two_ball_regions(self, sphere2, equator_partition):
-        dec = regions(sphere2, equator_partition)
+        dec = regions(dual_spine(sphere2, equator_partition))
         assert len(dec) == 2
         for _, mv in dec:
             assert collapses_to_point(mv)
 
     def test_discrete_four_disc_regions(self, sphere2):
-        dec = regions(sphere2, discrete(sphere2))
+        dec = regions(dual_spine(sphere2, discrete(sphere2)))
         assert len(dec) == 4
         for _, mv in dec:
             assert euler_characteristic(mv) == 1
@@ -121,7 +122,7 @@ class TestRegions:
 
     def test_disc_single_class_covers_everything(self):
         disc = named_triangulation("D2_triangle")
-        dec = regions(disc, single_class(disc))
+        dec = regions(dual_spine(disc, single_class(disc)))
         assert len(dec) == 1
         assert dec[0][1].faces == derived(derived(disc).complex).complex.faces
         assert spine_neighborhood(disc, dec).is_empty
@@ -134,7 +135,7 @@ class TestRegions:
             (torus7, one_vs_rest(torus7)),
         ]
         for t, p in cases:
-            dec = regions(t, p)
+            dec = regions(dual_spine(t, p))
             d2 = derived(derived(t).complex).complex
             nbhd = spine_neighborhood(t, dec)
             tops = d2.faces_of_dim(d2.dim)
@@ -157,25 +158,25 @@ class TestRegions:
                 spine.check_boundary_respect(t, p)
             except ValueError:  # splits a boundary component
                 continue
-            dec = regions(t, p)
+            dec = regions(dual_spine(t, p))
             for (_, a), (_, b) in itertools.combinations(dec, 2):
                 assert a.faces.isdisjoint(b.faces)
 
 
 class TestVerifySpine:
     def test_equator_yes(self, sphere2, equator_partition):
-        cert = verify_spine(sphere2, equator_partition)
+        cert = verify_spine(dual_spine(sphere2, equator_partition))
         assert cert.certificate == "yes"
         assert [r.kind for r in cert.region_reports] == ["ball", "ball"]
 
     def test_torus_discrete_yes(self, torus7):
-        cert = verify_spine(torus7, discrete(torus7))
+        cert = verify_spine(dual_spine(torus7, discrete(torus7)))
         assert cert.certificate == "yes"
         assert cert.vertices == 14
         assert len(cert.region_reports) == 7
 
     def test_rp2_two_classes_unknown(self, rp2):
-        cert = verify_spine(rp2, one_vs_rest(rp2))
+        cert = verify_spine(dual_spine(rp2, one_vs_rest(rp2)))
         assert cert.certificate == "unknown"
         # the non-disc region is the Moebius strip around the 5-vertex span
         failing = [r for r in cert.region_reports if not r.ok]
@@ -187,10 +188,24 @@ class TestVerifySpine:
             [["a", "b", "m"], ["b", "c", "m"], ["a", "c", "m"]]
         )
         p = vertex_partition(disc, [["a", "b", "c"], ["m"]])
-        cert = verify_spine(disc, p)
+        cert = verify_spine(dual_spine(disc, p))
         assert cert.certificate == "yes"
         kinds = sorted(r.kind for r in cert.region_reports)
         assert kinds == ["ball", "collar"]
+
+    @pytest.mark.parametrize("name,partition", [
+        ("T2_7", discrete), ("RP2_6", one_vs_rest), ("D2_triangle", single_class),
+    ])
+    def test_checks_nothing_dual_spine_checked(self, monkeypatch, name, partition):
+        # a SpineComplex is a checked spine: verify_spine does not re-check
+        # purity or boundary respect, nor recount the vertices
+        t = named_triangulation(name)
+        s = dual_spine(t, partition(t))
+        calls = []
+        for fn in ("is_pure", "check_boundary_respect", "vertex_count"):
+            monkeypatch.setattr(spine, fn, lambda *a, fn=fn: calls.append(fn))
+        verify_spine(s)
+        assert calls == []
 
 
 def _all_classes(t):

@@ -18,6 +18,7 @@ from helpers import (
     spine_vertex_count_from_links,
     stratum_components_two_rule,
     union_of_spans,
+    unchecked_spine,
 )
 
 
@@ -41,7 +42,7 @@ class TestAssignTypes:
     def test_pentachoron_type0_cells_are_tetra_barycenters(self, pentachoron_spine):
         zeros = [c for c, t in pentachoron_spine.cell_type.items() if t == 0]
         assert len(zeros) == 5
-        fov = pentachoron_spine.derived.face_of_vertex
+        fov = {lab: f for f, lab in pentachoron_spine.derived.vertex_of_face.items()}
         for cell in zeros:
             assert len(cell) == 1
             assert len(fov[cell[0]]) == 4
@@ -178,7 +179,7 @@ class TestComponentRule:
         for name in catalogue_names():
             t = named_triangulation(name)
             for p in (discrete(t), single_class(t), one_vs_rest(t)):
-                s = dual_spine(t, p, check_boundary=False)
+                s = unchecked_spine(t, p)
                 assert stratum_components(s) == stratum_components_two_rule(s), name
                 k = union_of_spans(t, p)
                 got = list(pair_component_poset(t, k).components)
