@@ -357,13 +357,13 @@ def report(ctx, t, p):
     from plspines.homology import betti_all
     from plspines.nerve import component_poset, nerve_checks, nerve_of_poset
 
+    s = dual_spine(t, p)  # an input error leaves stdout empty
     if ctx.params["name"]:
         click.echo(f"manifold: {ctx.params['name']}")
     click.echo(f"dim: {t.dim}")
     click.echo(f"f-vector: {' '.join(map(str, t.f_vector()))}")
     click.echo(f"euler: {euler_characteristic(t)}")
     click.echo("partition: " + " | ".join(" ".join(c) for c in p.canonical_key()))
-    s = dual_spine(t, p)
     cert = verify_spine(s, seed=ctx.obj["seed"])
     click.echo(f"vertices: {s.vertex_count}")
     click.echo(f"certificate: {cert.certificate}")

@@ -9,10 +9,11 @@ component holding that face's interior; the nerve is the Stein middle of
 the derived map T''' -> (pre-nerve)'.  Stein runs on the face poset of the
 source, T'' here: the vertices of T''' are the faces of T'' and its faces
 are their chains, so fibers and middle are read off T'' and T''' is not
-built.  Inside ``stein`` faces and middle vertices are int ids ranked by
-their labels, chain images are int bitmasks, and only the chains ending
-at facets are closed under subsets; labels return at the output (proofs
-and layout at ``stein``).
+built.  The middle is the order complex of the fiber components, ordered
+by "a face of A lies in a face of B", and ``core.chains`` lists it as it
+lists the pre-nerve.  Inside ``stein`` faces and middle vertices are int
+ids ranked by their labels; labels return at the output (proofs at
+``stein``).
 """
 
 from __future__ import annotations
@@ -56,30 +57,6 @@ class SteinFactorization:
     middle: Complex
 
 
-def _facet_chain_images(
-    layers: list[list[int]], below: list[list[int]], covered: bytearray, h: list[int]
-) -> set[int]:
-    """h-images of the saturated chains ending at facets, as bitmasks.
-
-    Faces come in layers by size, each face with its codim-1 subfaces in
-    ``below``; ``covered`` marks the faces that are such a subface.  The
-    images ending at t are those ending below t with h(t) added, so one
-    layer is kept at a time.
-    """
-    tops: set[int] = set()
-    chains: dict[int, set[int]] = {}
-    for layer in layers:
-        prev, chains = chains, {}
-        for t in layer:
-            bit = 1 << h[t]
-            cs = {c | bit for s in below[t] for c in prev[s]} or {bit}
-            if covered[t]:
-                chains[t] = cs
-            else:
-                tops |= cs
-    return tops
-
-
 def stein(f: SimplicialMap) -> SteinFactorization:
     """Stein factorization of the derived map f' of f, read off the face
     posets of source and target without building either derived complex.
@@ -96,56 +73,52 @@ def stein(f: SimplicialMap) -> SteinFactorization:
        So the fiber edge (s)(t) is a path of fiber edges (r)(r + one
        vertex), and fiber components are the classes of the pairs
        (t, t minus one vertex) with equal image.
-    2. Middle.  Any subset of h(c) is h of a subchain of c: keep one
-       preimage in c per element.  Every chain lies in a saturated chain
-       (one vertex added per step) starting at a vertex, so the middle is
-       the closure of the h-images of those.  The images of the saturated
-       chains ending at t are those ending at the codim-1 faces of t, each
-       with h(t) added.
-    3. Facets suffice.  A saturated chain ending at t extends, one vertex
-       at a time, to a saturated chain ending at a facet F >= t, and its
-       image only grows.  So the middle is the closure of the images at
-       the facets alone; no purity is needed.  A face is a facet exactly
-       when it is no codim-1 subface of another face, since downward
-       closure puts a codim-1 step below any proper coface.
+    2. Order.  For fiber components A and B say A <= B when a face of A
+       lies in a face of B.  Lemma: then every face of B contains a face
+       of A.  B is joined by codim-1 steps of equal image (fact 1); a
+       step up keeps the face of A below it.  A step down goes from t to
+       t - x with f(t - x) = f(t); if x lies in the face a <= t of A, pick
+       y in t - x with f(y) = f(x), and a -> a + y -> a + y - x are
+       codim-1 steps of equal image, so a + y - x is a face of A inside
+       t - x.  So <= is transitive; it is antisymmetric since A < B
+       strictly grows the image; and walking a saturated chain from s to
+       t shows it is the transitive closure of the codim-1 steps between
+       components.
+    3. Middle.  h of a chain is a chain of <=.  Conversely a chain
+       A0 < ... < Ak lifts top-down, by the lemma, to a chain of faces
+       with h-image exactly {A0, ..., Ak}.  So the middle is the order
+       complex of <=, and ``chains`` lists it.  The image grows strictly
+       along <=, so the closure is taken from the largest images down.
     4. Maps.  f was validated when it was built, so f' is simplicial.
        g o h = f' is checked on every vertex.  Every middle face is h(c)
        for a chain c, so g(h(c)) = f'(c) is a face: g is simplicial, and
        no map is validated face by face here.
 
-    Layout: faces of the source are ints, numbered in the order of their
-    derived labels, so the least id of a fiber component, its
-    ``_UnionFind`` root, is its least label.  Middle vertices are ints
-    numbered in the order of their ``w/i`` labels, and a chain image is
-    an int bitmask over them; its set bits, lowest first, are a sorted
-    middle face.  Labels come back only for ``middle``, ``g_assignment``
-    and ``h_assignment``.
+    Faces of the source are ints numbered in the order of their derived
+    labels, so the least id of a fiber component, its ``_UnionFind``
+    root, is its least label; middle vertices are ints numbered in the
+    order of their ``w/i`` labels.
     """
     src = f.source
     tlabel = derived_labels(f.target.faces)
     label = derived_labels(src.faces)
     faces = sorted(label, key=label.__getitem__)
-    n = len(faces)
     fid = {s: i for i, s in enumerate(faces)}
     a = [tlabel[f.image(s)] for s in faces]  # f'
     below: list[list[int]] = []  # codim-1 subfaces
-    covered = bytearray(n)  # 1 for a codim-1 subface of some face
-    layers: list[list[int]] = [[] for _ in range(src.dim + 1)]  # by size
-    uf = _UnionFind(range(n))
+    uf = _UnionFind(range(len(faces)))
     for t, face in enumerate(faces):
-        layers[len(face) - 1].append(t)
         # a vertex has one "codim-1 subface", the empty tuple, which is dropped
         ids = [fid[s] for s in itertools.combinations(face, len(face) - 1) if s]
         below.append(ids)
         for s in ids:
-            covered[s] = 1
             if a[s] == a[t]:
                 uf.union(s, t)
-    root = [uf.find(v) for v in range(n)]
+    root = [uf.find(v) for v in range(len(faces))]
     names: dict[int, str] = {}  # fiber component root -> its w/i label
     per_target: dict[str, int] = {}
-    for v in range(n):
-        if root[v] == v:
+    for v, r in enumerate(root):
+        if r == v:
             i = per_target.get(a[v], 0)
             per_target[a[v]] = i + 1
             names[v] = f"{a[v]}/{i}"
@@ -153,15 +126,16 @@ def stein(f: SimplicialMap) -> SteinFactorization:
     mid = {lab: m for m, lab in enumerate(mlabels)}
     h = [mid[names[r]] for r in root]
 
-    top_faces = []
-    for c in _facet_chain_images(layers, below, covered, h):
-        face = []
-        while c:
-            low = c & -c
-            face.append(mlabels[low.bit_length() - 1])
-            c ^= low
-        top_faces.append(tuple(face))
-    middle = Complex(closure_faces(top_faces))
+    # the order: codim-1 steps between components, closed from the top down
+    above: list[set[int]] = [set() for _ in mlabels]
+    for t, ids in enumerate(below):
+        for s in ids:
+            if h[s] != h[t]:
+                above[h[s]].add(h[t])
+    for r in sorted(names, key=lambda r: len(f.image(faces[r])), reverse=True):
+        m = h[r]
+        above[m] |= {c for b in above[m] for c in above[b]}
+    middle = Complex(frozenset(chains(above, mlabels, range(len(mlabels)))))
 
     g_assign = {lab: a[r] for r, lab in names.items()}
     h_assign = {label[s]: mlabels[m] for s, m in zip(faces, h)}

@@ -17,7 +17,12 @@ from plspines.core import InvariantViolation
 
 @pytest.fixture()
 def runner():
-    return CliRunner()
+    # click 8.1 mixes stderr into the output unless told not to; click 8.2
+    # keeps the two apart and no longer takes the option
+    try:
+        return CliRunner(mix_stderr=False)
+    except TypeError:
+        return CliRunner()
 
 
 def _env(**extra):
@@ -237,6 +242,17 @@ class TestExitCodes:
         res = runner.invoke(main, args)
         assert res.exit_code == 1
         assert "Error: " in res.stderr
+
+    def test_report_input_error_prints_nothing(self):
+        # the discrete partition splits the disc's boundary; a subprocess,
+        # since click 8.1's CliRunner mixes stderr into stdout
+        out = subprocess.run(
+            [sys.executable, "-m", "plspines", "report", "--name", "D2_triangle"],
+            capture_output=True, text=True, timeout=120, env=_env(),
+        )
+        assert out.stdout == ""
+        assert out.returncode == 1
+        assert out.stderr.startswith("error: partition does not respect the boundary")
 
     def test_closed_stdout_exits_141(self):
         # the reader keeps one line and goes away while the report still runs

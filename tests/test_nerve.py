@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from plspines.core import (
     canonical_face,
     derived,
     derived_map,
+    derived_vertex_label,
     from_facets,
 )
 from plspines.homology import betti
@@ -154,6 +156,25 @@ class TestSteinOnFacePoset:
         for g in (f, _relabelled(f, rng)):
             _assert_matches_oracle(g)
             assert dict(stein_h(stein(g)).assignment) == _stein_on_derived_source(g)[0]
+
+    # The lemma ``stein`` builds the middle on: if a face of the fiber
+    # component A lies in a face of B, every face of B contains a face of A.
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_every_face_of_a_component_contains_one_below(self, seed):
+        rng = random.Random(seed)
+        f = random_simplicial_map(rng, max_source_faces=40)
+        for g in (f, _relabelled(f, rng)):
+            h_assign = _stein_on_derived_source(g)[0]
+            h = {s: h_assign[derived_vertex_label(s)] for s in g.source.faces}
+            fiber: dict[str, list] = {}
+            for s, m in h.items():
+                fiber.setdefault(m, []).append(set(s))
+            for t in g.source.faces:
+                for s in itertools.combinations(t, len(t) - 1):
+                    if s and h[s] != h[t]:
+                        for t2 in fiber[h[t]]:
+                            assert any(s2 <= t2 for s2 in fiber[h[s]]), (s, t, t2)
 
     @pytest.mark.parametrize("name, partition", [
         pytest.param("T2_7", discrete, id="T2_7"),
