@@ -169,6 +169,8 @@ def _echo_nerve_checks(rep) -> None:
 @click.pass_context
 def main(ctx: click.Context, seed: int, budget: int, out: str | None):
     """Simple spines of PL manifolds: construction, search, and checks."""
+    if budget < 0:
+        raise ValueError(f"--budget must be at least 0, got {budget}")
     ctx.obj = {"seed": seed, "budget": budget, "out": out}
 
 

@@ -12,8 +12,8 @@ are their chains, so fibers and middle are read off T'' and T''' is not
 built.  The middle is the order complex of the fiber components, ordered
 by "a face of A lies in a face of B", and ``core.chains`` lists it as it
 lists the pre-nerve.  Inside ``stein`` faces and middle vertices are int
-ids ranked by their labels; labels return at the output (proofs at
-``stein``).
+ids ranked by their labels; h is returned as ids, and labels return only
+in the middle and in g (proofs at ``stein``).
 """
 
 from __future__ import annotations
@@ -46,15 +46,22 @@ from plspines.strata import StratumComponent, cell_components, stratum_component
 class SteinFactorization:
     """f' = g o h with h having connected fibers and g finite-to-one.
 
-    h and g are kept as vertex maps, ``h_assignment`` from the derived
-    source and ``g_assignment`` to the derived target; neither is built.
+    Neither map is built.  ``h`` holds one middle-vertex id per face of the
+    source, the faces taken in the order of their derived labels; id i is
+    the i-th of ``sorted(middle.vertices)``.  ``g_assignment`` maps middle
+    vertices to vertices of the derived target.
     """
 
     source: Complex  # source of f; h starts at its derived complex
     target: Complex  # target of f; g ends at its derived complex
-    h_assignment: Mapping[str, str]
+    h: tuple[int, ...]
     g_assignment: Mapping[str, str]
     middle: Complex
+
+
+def _codim1(face: Face, fid: Mapping[Face, int]) -> list[int]:
+    """Ids of the nonempty codim-1 subfaces of face (none for a vertex)."""
+    return [fid[s] for s in itertools.combinations(face, len(face) - 1) if s]
 
 
 def stein(f: SimplicialMap) -> SteinFactorization:
@@ -94,27 +101,27 @@ def stein(f: SimplicialMap) -> SteinFactorization:
        for a chain c, so g(h(c)) = f'(c) is a face: g is simplicial, and
        no map is validated face by face here.
 
-    Faces of the source are ints numbered in the order of their derived
-    labels, so the least id of a fiber component, its ``_UnionFind``
-    root, is its least label; middle vertices are ints numbered in the
-    order of their ``w/i`` labels.
+    The derived labels of the source serve only to number its faces:
+    face ids follow label order, so the least id of a fiber component,
+    its ``_UnionFind`` root, is its least label.  Codim-1 subfaces are
+    walked twice, for the fibers and for the order, and not stored.
+    Middle vertices are ints numbered in the order of their ``w/i``
+    labels; ``h`` is returned as those ids.
     """
     src = f.source
     tlabel = derived_labels(f.target.faces)
-    label = derived_labels(src.faces)
-    faces = sorted(label, key=label.__getitem__)
+    faces = sorted(src.faces, key=derived_labels(src.faces).__getitem__)
     fid = {s: i for i, s in enumerate(faces)}
     a = [tlabel[f.image(s)] for s in faces]  # f'
-    below: list[list[int]] = []  # codim-1 subfaces
+    # per-face scaffolding is deleted once used: the middle, built last,
+    # would otherwise be allocated on top of it
     uf = _UnionFind(range(len(faces)))
     for t, face in enumerate(faces):
-        # a vertex has one "codim-1 subface", the empty tuple, which is dropped
-        ids = [fid[s] for s in itertools.combinations(face, len(face) - 1) if s]
-        below.append(ids)
-        for s in ids:
+        for s in _codim1(face, fid):
             if a[s] == a[t]:
                 uf.union(s, t)
     root = [uf.find(v) for v in range(len(faces))]
+    del uf
     names: dict[int, str] = {}  # fiber component root -> its w/i label
     per_target: dict[str, int] = {}
     for v, r in enumerate(root):
@@ -122,27 +129,28 @@ def stein(f: SimplicialMap) -> SteinFactorization:
             i = per_target.get(a[v], 0)
             per_target[a[v]] = i + 1
             names[v] = f"{a[v]}/{i}"
-    mlabels = sorted(names.values())
-    mid = {lab: m for m, lab in enumerate(mlabels)}
-    h = [mid[names[r]] for r in root]
+    reps = sorted(names, key=names.__getitem__)  # middle id -> its root
+    mid = {r: m for m, r in enumerate(reps)}
+    h = tuple(mid[r] for r in root)
+    del root
 
     # the order: codim-1 steps between components, closed from the top down
-    above: list[set[int]] = [set() for _ in mlabels]
-    for t, ids in enumerate(below):
-        for s in ids:
+    above: list[set[int]] = [set() for _ in reps]
+    for t, face in enumerate(faces):
+        for s in _codim1(face, fid):
             if h[s] != h[t]:
                 above[h[s]].add(h[t])
-    for r in sorted(names, key=lambda r: len(f.image(faces[r])), reverse=True):
-        m = h[r]
+    del fid
+    for m in sorted(range(len(reps)), key=lambda m: len(f.image(faces[reps[m]])), reverse=True):
         above[m] |= {c for b in above[m] for c in above[b]}
-    middle = Complex(frozenset(chains(above, mlabels, range(len(mlabels)))))
+    mlabels = [names[r] for r in reps]
+    middle = Complex(frozenset(chains(above, mlabels, range(len(reps)))))
 
-    g_assign = {lab: a[r] for r, lab in names.items()}
-    h_assign = {label[s]: mlabels[m] for s, m in zip(faces, h)}
+    g = [a[r] for r in reps]
     for m, w in zip(h, a):
-        if g_assign[mlabels[m]] != w:
+        if g[m] != w:
             raise InvariantViolation("Stein factorization does not compose to f'")
-    return SteinFactorization(src, f.target, h_assign, g_assign, middle)
+    return SteinFactorization(src, f.target, h, dict(zip(mlabels, g)), middle)
 
 
 # -- component posets ---------------------------------------------------------

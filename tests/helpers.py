@@ -20,6 +20,7 @@ from plspines.core import (
     connected_components,
     derived,
     derived_image,
+    derived_labels,
     face_link,
     from_facets,
     is_connected,
@@ -428,10 +429,18 @@ def union_of_spans(t: Complex, p: VertexPartition) -> Complex:
 # -- Stein factorization ----------------------------------------------------
 
 
+def stein_h_assignment(sf: SteinFactorization) -> dict[str, str]:
+    """h of the factorization as labels: derived source vertex -> middle
+    vertex, rebuilt from the id vector ``sf.h``."""
+    label = derived_labels(sf.source.faces)
+    mlabels = sorted(sf.middle.vertices)
+    return {lab: mlabels[m] for lab, m in zip(sorted(label.values()), sf.h)}
+
+
 def stein_h(sf: SteinFactorization) -> SimplicialMap:
     """h of the factorization, from the derived source (built here) to the
     middle; constructing the map validates it."""
-    return SimplicialMap(derived(sf.source).complex, sf.middle, sf.h_assignment)
+    return SimplicialMap(derived(sf.source).complex, sf.middle, stein_h_assignment(sf))
 
 
 def stein_g(sf: SteinFactorization) -> SimplicialMap:

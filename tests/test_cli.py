@@ -230,6 +230,12 @@ class TestExitCodes:
         assert res.exit_code == 1
         assert res.stderr.startswith("error: ")
 
+    def test_negative_budget_exits_1(self, runner):
+        res = runner.invoke(main, ["--budget", "-5", "search", "--name", "S2_tetra"])
+        assert res.exit_code == 1
+        assert res.stdout == ""
+        assert res.stderr == "error: --budget must be at least 0, got -5\n"
+
     @pytest.mark.parametrize("args", [
         pytest.param(["report", "--bogus"], id="command-option"),
         pytest.param(["--bogus", "report"], id="group-option"),

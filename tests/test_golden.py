@@ -1,6 +1,8 @@
 """Golden CLI outputs: stdout and exit code of fixed jobs, byte for byte.
 
-Each ``tests/golden/<name>.out`` holds the exact stdout of one command.
+Each ``tests/golden/<name>.out`` holds the exact stdout of one command;
+``tests/golden/S1_join_S1.cplx`` is the input of one of them, the join of
+two triangle circles as ``io.format_complex`` writes it.
 A refactor that keeps behaviour keeps every file; a change that means to
 alter output rewrites the affected files and says why.
 """
@@ -51,6 +53,18 @@ JOBS = [
     ("drill_S2_oct", ["drill", "--name", "S2_oct", "--partition", "discrete", "--points", "5"], 0),
     ("drill_T2_7", ["drill", "--name", "T2_7", "--partition", "discrete", "--points", "5"], 0),
     ("nerve_S2_oct", ["nerve", "--name", "S2_oct", "--partition", "discrete"], 0),
+    # vertices "a a* b b* c c*": "*" sorts below ",", so the derived-label
+    # order of the faces differs from their tuple order
+    (
+        "nerve_S1_join_S1",
+        ["nerve", "--in", str(GOLDEN / "S1_join_S1.cplx"), "--partition", "discrete"],
+        0,
+    ),
+    (
+        "nerve_S3_pentachoron_one_vs_rest",
+        ["nerve", "--name", "S3_pentachoron", "--partition", "one-vs-rest"],
+        0,
+    ),
 ]
 
 

@@ -39,6 +39,7 @@ from helpers import (
     random_simplicial_map,
     stein_checks,
     stein_h,
+    stein_h_assignment,
 )
 
 
@@ -83,6 +84,15 @@ class TestStein:
 
         assert len(connected_components(sf.middle)) == 2
 
+    def test_source_label_collision_is_rejected(self):
+        # "(a,b)" names both the edge ab and the vertex "a,b"; ordering the
+        # faces by these labels must still check that they are distinct
+        src = from_facets([["a", "b"], ["a,b"]])
+        point = from_facets([["p"]])
+        f = SimplicialMap(src, point, {v: "p" for v in src.vertices})
+        with pytest.raises(ValueError, match="collide under derived naming"):
+            stein(f)
+
     def test_random_maps_have_stein_properties(self):
         # acceptance-grade property: connected h-fibers, dimension-preserving g
         rng = random.Random(2024)
@@ -120,7 +130,7 @@ def _stein_on_derived_source(f: SimplicialMap):
 def _assert_matches_oracle(f: SimplicialMap):
     h_assign, g_assign, middle = _stein_on_derived_source(f)
     sf = stein(f)
-    assert dict(sf.h_assignment) == h_assign
+    assert stein_h_assignment(sf) == h_assign
     assert dict(sf.g_assignment) == g_assign
     assert sf.middle.faces == middle
 
@@ -128,13 +138,17 @@ def _assert_matches_oracle(f: SimplicialMap):
 # Labels where one is a prefix of another: "(a,b)" sorts before "(ab)",
 # so label order differs from the (size, labels) order of the faces.
 PREFIX_LABELS = ("a", "a0", "ab", "b", "b0", "ba", "c", "c0")
+# "*" sorts below ",": "(a*)" comes before "(a,b)" though ("a", "b") comes
+# before ("a*",), so label order differs from the tuple order of the faces.
+STAR_LABELS = ("a", "a*", "b", "b*", "c", "c*", "d", "d*")
 
 
-def _relabelled(f: SimplicialMap, rng: random.Random) -> SimplicialMap:
-    """f with source and target vertices renamed to PREFIX_LABELS."""
+def _relabelled(f: SimplicialMap, rng: random.Random,
+                labels: tuple[str, ...] = PREFIX_LABELS) -> SimplicialMap:
+    """f with source and target vertices renamed to labels."""
 
     def rename(cx: Complex) -> tuple[Complex, dict[str, str]]:
-        new = dict(zip(cx.vertices, rng.sample(PREFIX_LABELS, len(cx.vertices))))
+        new = dict(zip(cx.vertices, rng.sample(labels, len(cx.vertices))))
         return Complex(canonical_face(new[v] for v in face) for face in cx.faces), new
 
     src, src_name = rename(f.source)
@@ -156,6 +170,15 @@ class TestSteinOnFacePoset:
         for g in (f, _relabelled(f, rng)):
             _assert_matches_oracle(g)
             assert dict(stein_h(stein(g)).assignment) == _stein_on_derived_source(g)[0]
+
+    # Faces are numbered in derived-label order, not tuple order: the w/i
+    # names count components by least label.
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_star_labels_match_derived_source(self, seed):
+        rng = random.Random(seed)
+        f = random_simplicial_map(rng, max_source_faces=40)
+        _assert_matches_oracle(_relabelled(f, rng, STAR_LABELS))
 
     # The lemma ``stein`` builds the middle on: if a face of the fiber
     # component A lies in a face of B, every face of B contains a face of A.
