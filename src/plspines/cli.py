@@ -92,6 +92,8 @@ def _read_file(path: str) -> str:
 def _read_input(in_path: str | None, name: str | None):
     """Load (complex, optional partition) from --name, --in, or stdin."""
     if name is not None:
+        if in_path is not None:
+            raise ValueError("give --in or --name, not both")
         return named_triangulation(name), None
     return pio.parse_combined(_read_file(in_path) if in_path is not None else sys.stdin.read())
 

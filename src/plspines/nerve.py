@@ -11,9 +11,9 @@ source, T'' here: the vertices of T''' are the faces of T'' and its faces
 are their chains, so fibers and middle are read off T'' and T''' is not
 built.  The middle is the order complex of the fiber components, ordered
 by "a face of A lies in a face of B", and ``core.chains`` lists it as it
-lists the pre-nerve.  Inside ``stein`` faces and middle vertices are int
-ids ranked by their labels; h is returned as ids, and labels return only
-in the middle and in g (proofs at ``stein``).
+lists the pre-nerve.  Inside ``stein`` faces are int ids in tuple order
+and middle vertices int ids in label order; h is returned as ids, and
+labels return only in the middle and in g (proofs at ``stein``).
 """
 
 from __future__ import annotations
@@ -46,10 +46,9 @@ from plspines.strata import StratumComponent, cell_components, stratum_component
 class SteinFactorization:
     """f' = g o h with h having connected fibers and g finite-to-one.
 
-    Neither map is built.  ``h`` holds one middle-vertex id per face of the
-    source, the faces taken in the order of their derived labels; id i is
-    the i-th of ``sorted(middle.vertices)``.  ``g_assignment`` maps middle
-    vertices to vertices of the derived target.
+    Neither map is built.  ``h`` holds one middle-vertex id per face of
+    ``sorted(source.faces)``; id i is the i-th of ``sorted(middle.vertices)``.
+    ``g_assignment`` maps middle vertices to vertices of the derived target.
     """
 
     source: Complex  # source of f; h starts at its derived complex
@@ -72,7 +71,8 @@ def stein(f: SimplicialMap) -> SteinFactorization:
     labelled ``derived_vertex_label(s)``, its faces are the chains of
     faces, and f' sends (s) to (f(s)).  Middle vertices are the connected
     components of the fibers of f', labelled ``w/i`` for the i-th
-    component over w in order of least vertex; middle faces are the
+    component over w in order of least face in tuple order, the order
+    ``strata.cell_components`` lists them in; middle faces are the
     h-images of chains.  Four facts:
 
     1. Fibers.  If s < t and f(s) = f(t), every face between them has
@@ -101,16 +101,15 @@ def stein(f: SimplicialMap) -> SteinFactorization:
        for a chain c, so g(h(c)) = f'(c) is a face: g is simplicial, and
        no map is validated face by face here.
 
-    The derived labels of the source serve only to number its faces:
-    face ids follow label order, so the least id of a fiber component,
-    its ``_UnionFind`` root, is its least label.  Codim-1 subfaces are
+    Face ids follow tuple order, so the least id of a fiber component,
+    its ``_UnionFind`` root, is its least face.  Codim-1 subfaces are
     walked twice, for the fibers and for the order, and not stored.
     Middle vertices are ints numbered in the order of their ``w/i``
     labels; ``h`` is returned as those ids.
     """
     src = f.source
     tlabel = derived_labels(f.target.faces)
-    faces = sorted(src.faces, key=derived_labels(src.faces).__getitem__)
+    faces = sorted(src.faces)
     fid = {s: i for i, s in enumerate(faces)}
     a = [tlabel[f.image(s)] for s in faces]  # f'
     # per-face scaffolding is deleted once used: the middle, built last,

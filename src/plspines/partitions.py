@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from plspines.core import Complex, Face
@@ -19,16 +20,9 @@ class VertexPartition:
     base: Complex
     classes: tuple[frozenset[str], ...]
 
-    @property
+    @cached_property
     def class_of(self) -> Mapping[str, int]:
-        got = getattr(self, "_class_of", None)
-        if got is None:
-            got = {}
-            for i, cls in enumerate(self.classes):
-                for v in cls:
-                    got[v] = i
-            object.__setattr__(self, "_class_of", got)
-        return got
+        return {v: i for i, cls in enumerate(self.classes) for v in cls}
 
     def classes_meeting(self, face: Face) -> int:
         co = self.class_of

@@ -119,6 +119,10 @@ def cell_components(
     4. A component of k' is a subcomplex, so its least cell is (v,) for
        its least vertex v: ordering by least cell is ordering by least
        vertex.  The ``_UnionFind`` root of a component is its least cell.
+
+    This order also fixes the names of Stein's middle vertices: with the
+    faces of f's source labelled by f', the i-th component over w is the
+    fiber component ``nerve.stein`` names ``w/i``.
     """
     uf = _UnionFind(cx.faces)
     for c in cx.faces:

@@ -20,7 +20,7 @@ from plspines.core import (
     connected_components,
     derived,
     derived_image,
-    derived_labels,
+    derived_vertex_label,
     face_link,
     from_facets,
     is_connected,
@@ -432,9 +432,8 @@ def union_of_spans(t: Complex, p: VertexPartition) -> Complex:
 def stein_h_assignment(sf: SteinFactorization) -> dict[str, str]:
     """h of the factorization as labels: derived source vertex -> middle
     vertex, rebuilt from the id vector ``sf.h``."""
-    label = derived_labels(sf.source.faces)
     mlabels = sorted(sf.middle.vertices)
-    return {lab: mlabels[m] for lab, m in zip(sorted(label.values()), sf.h)}
+    return {derived_vertex_label(s): mlabels[m] for s, m in zip(sorted(sf.source.faces), sf.h)}
 
 
 def stein_h(sf: SteinFactorization) -> SimplicialMap:

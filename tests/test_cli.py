@@ -13,6 +13,8 @@ from click.testing import CliRunner
 import plspines
 from plspines.cli import main
 from plspines.core import InvariantViolation
+from plspines.io import format_complex
+from plspines.models import named_triangulation
 
 
 @pytest.fixture()
@@ -229,6 +231,15 @@ class TestExitCodes:
         res = runner.invoke(main, [cmd, "--name", "S2_tetra", "--partition", "a,zz"])
         assert res.exit_code == 1
         assert res.stderr.startswith("error: ")
+
+    @pytest.mark.parametrize("cmd", ["homology", "search", "nerve"])
+    def test_in_with_name_exits_1(self, runner, tmp_path, cmd):
+        path = tmp_path / "t.cplx"
+        path.write_text(format_complex(named_triangulation("S2_oct")))
+        res = runner.invoke(main, [cmd, "--in", str(path), "--name", "S2_tetra"])
+        assert res.exit_code == 1
+        assert res.stdout == ""
+        assert res.stderr == "error: give --in or --name, not both\n"
 
     def test_negative_budget_exits_1(self, runner):
         res = runner.invoke(main, ["--budget", "-5", "search", "--name", "S2_tetra"])

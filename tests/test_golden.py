@@ -53,11 +53,17 @@ JOBS = [
     ("drill_S2_oct", ["drill", "--name", "S2_oct", "--partition", "discrete", "--points", "5"], 0),
     ("drill_T2_7", ["drill", "--name", "T2_7", "--partition", "discrete", "--points", "5"], 0),
     ("nerve_S2_oct", ["nerve", "--name", "S2_oct", "--partition", "discrete"], 0),
-    # vertices "a a* b b* c c*": "*" sorts below ",", so the derived-label
-    # order of the faces differs from their tuple order
+    # vertices "a a* b b* c c*", where "*" sorts below ",": Stein numbers
+    # its fiber components by least face, whatever order their labels take
     (
         "nerve_S1_join_S1",
         ["nerve", "--in", str(GOLDEN / "S1_join_S1.cplx"), "--partition", "discrete"],
+        0,
+    ),
+    # the job that sets the benchmark's peak memory: Stein at full size
+    (
+        "report_S1_join_S1",
+        ["report", "--in", str(GOLDEN / "S1_join_S1.cplx"), "--partition", "discrete"],
         0,
     ),
     (

@@ -1,5 +1,6 @@
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,11 +13,13 @@ from plspines.core import (
     _UnionFind,
     canonical_face,
     derived,
+    derived_labels,
     derived_map,
     derived_vertex_label,
     from_facets,
 )
 from plspines.homology import betti
+from plspines.io import parse_complex
 from plspines.models import named_triangulation
 from plspines.nerve import (
     _prenerve_map,
@@ -31,7 +34,7 @@ from plspines.partitions import discrete, one_vs_rest, single_class
 from plspines.recognize import is_closed_curve
 from plspines.search import search_min_vertices
 from plspines.spine import dual_spine, vertex_count
-from plspines.strata import stratum_components
+from plspines.strata import cell_components, stratum_components
 from helpers import (
     is_arc,
     isomorphic,
@@ -41,6 +44,8 @@ from helpers import (
     stein_h,
     stein_h_assignment,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 class TestStein:
@@ -84,15 +89,6 @@ class TestStein:
 
         assert len(connected_components(sf.middle)) == 2
 
-    def test_source_label_collision_is_rejected(self):
-        # "(a,b)" names both the edge ab and the vertex "a,b"; ordering the
-        # faces by these labels must still check that they are distinct
-        src = from_facets([["a", "b"], ["a,b"]])
-        point = from_facets([["p"]])
-        f = SimplicialMap(src, point, {v: "p" for v in src.vertices})
-        with pytest.raises(ValueError, match="collide under derived naming"):
-            stein(f)
-
     def test_random_maps_have_stein_properties(self):
         # acceptance-grade property: connected h-fibers, dimension-preserving g
         rng = random.Random(2024)
@@ -106,8 +102,9 @@ def _stein_on_derived_source(f: SimplicialMap):
     """The oracle: Stein factorization computed on the derived source.
 
     Fibers are the union-find classes of the same-image edges of the
-    derived source, and the middle holds the h-image of every derived face.
-    Returns the h and g assignments and the middle faces.
+    derived source, each named at its first face in tuple order, and the
+    middle holds the h-image of every derived face.  Returns the h and g
+    assignments and the middle faces.
     """
     fd = derived_map(f)
     src, a = fd.source, fd.assignment
@@ -116,12 +113,13 @@ def _stein_on_derived_source(f: SimplicialMap):
         if len(face) == 2 and a[face[0]] == a[face[1]]:
             uf.union(*face)
     root_label, g_assign, per_target = {}, {}, {}
-    for v in src.vertices:
-        if uf.find(v) == v:
-            i = per_target.get(a[v], 0)
-            per_target[a[v]] = i + 1
-            root_label[v] = f"{a[v]}/{i}"
-            g_assign[root_label[v]] = a[v]
+    for s in sorted(f.source.faces):
+        r = uf.find(derived_vertex_label(s))
+        if r not in root_label:
+            i = per_target.get(a[r], 0)
+            per_target[a[r]] = i + 1
+            root_label[r] = f"{a[r]}/{i}"
+            g_assign[root_label[r]] = a[r]
     h_assign = {v: root_label[uf.find(v)] for v in src.vertices}
     middle = frozenset(tuple(sorted({h_assign[v] for v in face})) for face in src.faces)
     return h_assign, g_assign, middle
@@ -171,14 +169,50 @@ class TestSteinOnFacePoset:
             _assert_matches_oracle(g)
             assert dict(stein_h(stein(g)).assignment) == _stein_on_derived_source(g)[0]
 
-    # Faces are numbered in derived-label order, not tuple order: the w/i
-    # names count components by least label.
+    # Faces are numbered in tuple order and the w/i names count components
+    # by least face; with STAR_LABELS that order is not the label order.
     @settings(derandomize=True, database=None, deadline=None, max_examples=200)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_star_labels_match_derived_source(self, seed):
         rng = random.Random(seed)
         f = random_simplicial_map(rng, max_source_faces=40)
         _assert_matches_oracle(_relabelled(f, rng, STAR_LABELS))
+
+    # The fibers are the components ``strata.cell_components`` forms with
+    # the faces labelled by f', and the i-th of them over w is named w/i.
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_fibers_are_cell_components_in_order(self, seed):
+        rng = random.Random(seed)
+        f = random_simplicial_map(rng, max_source_faces=40)
+        for g in (f, _relabelled(f, rng, STAR_LABELS)):
+            sf = stein(g)
+            mlabels = sorted(sf.middle.vertices)
+            fibers: dict[str, set] = {}
+            for s, m in zip(sorted(g.source.faces), sf.h):
+                fibers.setdefault(mlabels[m], set()).add(s)
+            label = {s: derived_vertex_label(g.image(s)) for s in g.source.faces}
+            named, count = {}, {}
+            for w, cells in cell_components(g.source, label):
+                i = count[w] = count.get(w, -1) + 1
+                named[f"{w}/{i}"] = cells
+            assert {frozenset(c) for c in fibers.values()} == set(named.values())
+            assert fibers == named
+
+    def test_stein_labels_only_the_target(self, monkeypatch):
+        # the source faces are numbered in tuple order; derived labels name
+        # only the target's faces, the vertices g maps to
+        t = parse_complex((GOLDEN / "S1_join_S1.cplx").read_text())
+        f = _prenerve_map(t, component_poset(stratum_components(dual_spine(t, discrete(t)))))
+        seen = []
+
+        def spy(faces):
+            seen.append(faces)
+            return derived_labels(faces)
+
+        monkeypatch.setattr(plspines.nerve, "derived_labels", spy)
+        stein(f)
+        assert seen == [f.target.faces]
 
     # The lemma ``stein`` builds the middle on: if a face of the fiber
     # component A lies in a face of B, every face of B contains a face of A.
