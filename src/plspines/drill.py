@@ -1,4 +1,4 @@
-"""Drilling a simple spine along a subpolyhedron, and hypersurface cutting.
+"""Drilling a simple spine along a subpolyhedron.
 
 Drilling removes from the spine the open regular neighborhood of a
 subcomplex k and adds the neighborhood's frontier.  The spine lives in T'
@@ -32,9 +32,9 @@ from plspines.core import (
     derived_star,
     subcomplex_spanned,
 )
-from plspines.recognize import boundary_complex, is_closed_pseudomanifold
+from plspines.recognize import boundary_complex
 from plspines.spine import SpineComplex
-from plspines.strata import classify_all_links, classify_point_link, stratum_components
+from plspines.strata import classify_all_links, classify_point_link
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,61 +215,3 @@ def sample_drill_points(
     rng = random.Random(seed)
     picks = [pool[rng.randrange(len(pool))] for _ in range(count)]
     return [Complex(frozenset({(v,)})) for v in picks]
-
-
-# -- cutting along a normal hypersurface ---------------------------------------
-
-
-@dataclass(frozen=True)
-class CutReport:
-    vertices_before: int
-    vertices_after: int
-    non_increase_predicted: bool
-    non_increase_holds: bool
-    result: Complex  # the drilled spine; the spine in T'' for an empty surface
-
-
-def cut_along_hypersurface(
-    ctx: DrillContext, surface: Complex
-) -> CutReport:
-    """Drill the spine along a closed hypersurface contained in it.
-
-    The surface must be a closed pseudomanifold union of closures of
-    top-dimensional stratum components of the spine.  The ambient
-    dimension must be 3, where the theorem that the vertex count never
-    increases is stated, and the report asserts that theorem.
-    """
-    s = ctx.spine
-    d = s.ambient.dim
-    if d != 3:
-        raise ValueError(f"hypersurface cutting requires ambient dimension 3, got {d}")
-    if surface.is_empty:
-        return CutReport(
-            s.vertex_count, s.vertex_count, True, True, ctx.level2.spine
-        )
-    spine_cx = s.as_complex()
-    if not spine_cx.has_subcomplex(surface):
-        raise ValueError("surface is not a subcomplex of the spine")
-    if not is_closed_pseudomanifold(surface):
-        raise ValueError("surface is not a closed pseudomanifold")
-    # check: union of closures of top stratum components
-    top_dim = d - 1
-    whole = True
-    surf_tops = {f for f in surface.faces if len(f) == top_dim + 1}
-    for comp in stratum_components(s):
-        if comp.type != top_dim:
-            continue
-        cells = {c for c in comp.cells if len(c) == top_dim + 1}
-        inter = cells & surf_tops
-        if inter and inter != cells:
-            whole = False
-    predicted = whole
-    res = drill(ctx, surface)
-    after = res.vertices_after
-    holds = after <= s.vertex_count
-    if predicted and not holds:
-        raise InvariantViolation(
-            f"cut along a union of 2-components increased the vertex count "
-            f"{s.vertex_count} -> {after}"
-        )
-    return CutReport(s.vertex_count, after, predicted, holds, res.complex)

@@ -1,5 +1,5 @@
-"""Chain complexes over the two-element field, normal discs, and the
-hypersurface-homology correspondence on simple polyhedra.
+"""Chain complexes and Betti numbers over the two-element field, and
+normal discs.
 
 Matrices over GF(2) are bit-packed, one Python int per column: bit r of
 column j is entry (r, j).  Boundaries are built straight from the face
@@ -12,15 +12,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from plspines.core import Complex, Face, InvariantViolation, closure, derived, face_link
+from plspines.core import Complex, Face, InvariantViolation
 from plspines.models import LocalModel, dual_model, simplex
 from plspines.partitions import VertexPartition, vertex_partition
-from plspines.recognize import (
-    classify_graph,
-    is_closed_curve,
-    is_closed_surface,
-    ridge_incidence,
-)
 
 
 # -- GF(2) linear algebra -----------------------------------------------------
@@ -163,66 +157,6 @@ def betti_all(cx: Complex) -> list[int]:
     return [ch.betti(k) for k in range(cx.dim + 1)]
 
 
-# -- hypersurfaces in simple polyhedra ----------------------------------------
-
-
-def top_cycle_supports(cx: Complex) -> list[frozenset[Face]]:
-    """Supports of all top-dimensional homology classes, zero class included.
-
-    In the top dimension there are no boundaries, so classes are exactly the
-    kernel vectors of the top boundary matrix.
-    """
-    if cx.is_empty:
-        return [frozenset()]
-    ch = Z2ChainComplex(cx)
-    top = cx.dim
-    basis = gf2_kernel_basis(ch.boundaries[top])
-    faces = ch.bases[top]
-    supports = []
-    for picks in itertools.product((False, True), repeat=len(basis)):
-        vec = 0
-        for pick, v in zip(picks, basis):
-            if pick:
-                vec ^= v
-        supports.append(frozenset(faces[i] for i in _bits(vec)))
-    return sorted(set(supports), key=lambda s: (len(s), sorted(s)))
-
-
-def hypersurface_from_class(
-    cx: Complex, cycle: "frozenset[Face] | set[Face] | list[Face]"
-) -> Complex:
-    """The subcomplex representing a top-dimensional mod-2 class.
-
-    The class is given by the set of top cells it supports; the result is
-    their closure.  The support must be a closed hypersurface: each
-    codimension-1 face of it in exactly two top cells, with the
-    dimension-appropriate manifold check on top.  Failures report the
-    offending face.
-    """
-    support = frozenset(cycle)
-    if not support:
-        return Complex(frozenset())
-    top = cx.dim
-    if any(len(f) != top + 1 for f in support):
-        raise ValueError("cycle support must consist of top-dimensional cells")
-    sub = closure(cx, support)
-    rid = ridge_incidence(sub)
-    bad = sorted(s for s, n in rid.items() if n != 2)
-    if bad:
-        raise ValueError(
-            f"support is not a closed hypersurface: face {bad[0]} lies in "
-            f"{rid[bad[0]]} top cells"
-        )
-    if sub.dim == 1 and not is_closed_curve(sub):
-        raise ValueError("support fails the closed-curve link check")
-    if sub.dim == 2 and not is_closed_surface(sub):
-        for v in sub.vertices:
-            if classify_graph(face_link((v,), sub)) != "circle":
-                raise ValueError(f"support fails the surface link check at {v}")
-        raise ValueError("support fails the closed-surface check")
-    return sub
-
-
 # -- normal discs -------------------------------------------------------------
 
 
@@ -262,15 +196,3 @@ def enumerate_normal_discs(n: int) -> list[NormalDisc]:
             f"enumerated {len(out)} normal discs, expected {expected}"
         )
     return out
-
-
-def disc_boundary(nd: NormalDisc) -> Complex:
-    """Trace of a normal disc on the boundary sphere of its simplex:
-    the faces whose chains avoid the top simplex."""
-    amb = nd.ambient_simplex
-    top = amb.facets[0]
-    d = derived(amb)
-    top_vertex = d.vertex_of_face[top]
-    return Complex(
-        frozenset(f for f in nd.disc.faces if top_vertex not in f)
-    )

@@ -8,8 +8,8 @@ from importlib import resources
 
 from plspines.collapse import collapses_to_point
 from plspines.core import Complex, InvariantViolation, derived, from_facets
-from plspines.partitions import VertexPartition, vertex_partition
-from plspines.spine import assign_types, dual_spine, vertex_count
+from plspines.partitions import VertexPartition
+from plspines.spine import assign_types, vertex_count
 
 
 def simplex(n: int) -> Complex:
@@ -31,7 +31,7 @@ def boundary_sphere(n: int) -> Complex:
 
 @dataclass(frozen=True, eq=False)
 class LocalModel:
-    """A local model subcomplex of a derived simplex or derived sphere."""
+    """A local model subcomplex of a derived simplex."""
 
     ambient: Complex
     model: Complex
@@ -62,25 +62,6 @@ def dual_model(n: int, partition: VertexPartition) -> LocalModel:
         if not collapses_to_point(model):
             raise InvariantViolation("dual model did not collapse to a point")
     return LocalModel(dt.complex, model, n, k)
-
-
-def pi_boundary(n: int, k: int = 0) -> LocalModel:
-    """Boundary of the local model: dual of a canonical partition of the
-    n-sphere's n+2 vertices (n+1-k singletons, remaining vertices one class)."""
-    if not 0 <= k <= n:
-        raise ValueError(f"k must lie in 0..{n}, got {k}")
-    amb = boundary_sphere(n)
-    verts = list(amb.vertices)
-    singles = [[v] for v in verts[: n + 1 - k]]
-    rest = verts[n + 1 - k :]
-    classes = singles + ([rest] if rest else [])
-    s = dual_spine(amb, vertex_partition(amb, classes))
-    model = s.as_complex()
-    if model.dim != n - 1:
-        raise InvariantViolation(
-            f"pi_boundary({n},{k}) has dim {model.dim}, expected {n - 1}"
-        )
-    return LocalModel(s.derived.complex, model, n, k)
 
 
 # -- catalogue --------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Pre-nerve, Stein factorization, and the nerve of a pair.
 
 Components of a pair (M, Y) are given as a partition of the cells of T'
-(strata of a dual spine plus its complement components, or the components
-of a plain subcomplex and of its complement).  The pre-nerve is the order
+(the strata of a dual spine plus its complement components, or any other
+components given to ``nerve_of_poset``).  The pre-nerve is the order
 complex of the component poset under closure inclusion.  The pre-nerve map
 sends each barycenter of a T'-face, i.e. each vertex of T'', to the
 component holding that face's interior; the nerve is the Stein middle of
@@ -31,12 +31,11 @@ from plspines.core import (
     chains,
     closure_faces,
     derived,
-    derived_image,
     derived_labels,
 )
 from plspines.recognize import ridge_incidence
 from plspines.spine import SpineComplex
-from plspines.strata import StratumComponent, cell_components, stratum_components
+from plspines.strata import StratumComponent, stratum_components
 
 
 # -- Stein factorization -----------------------------------------------------
@@ -194,22 +193,6 @@ def order_complex(poset: ComponentPoset) -> Complex:
     return Complex(frozenset(chains(above, {a: a for a in poset.labels}, poset.labels)))
 
 
-def pair_component_poset(t: Complex, k: Complex) -> ComponentPoset:
-    """Components of a plain pair (t, k): connected components of k and of
-    its complement.  Valid when each connected component of k is a single
-    stratum (points, circles, closed submanifold pieces)."""
-    if not t.has_subcomplex(k):
-        raise ValueError("k is not a subcomplex of t")
-    dt = derived(t)
-    kcells = derived_image(dt, k).faces
-    off_k = {c: int(c not in kcells) for c in dt.complex.faces}
-    comps = [
-        StratumComponent(i, t.dim if off else max(map(len, cells)) - 1, cells)
-        for i, (off, cells) in enumerate(cell_components(dt.complex, off_k))
-    ]
-    return component_poset(comps)
-
-
 # -- nerve ---------------------------------------------------------------------
 
 
@@ -251,11 +234,6 @@ def nerve_of_poset(t: Complex, poset: ComponentPoset) -> NervePair:
 def nerve(s: SpineComplex) -> NervePair:
     """The nerve of the pair (ambient, spine), strata by the chain rule."""
     return nerve_of_poset(s.ambient, component_poset(stratum_components(s)))
-
-
-def nerve_of_pair(t: Complex, k: Complex) -> NervePair:
-    """The nerve of a plain pair (t, k); see ``pair_component_poset``."""
-    return nerve_of_poset(t, pair_component_poset(t, k))
 
 
 # -- nerve theorems as checks ----------------------------------------------------

@@ -8,8 +8,8 @@ one pass over T' by ``assign_types``.  ``dual_spine`` checks the pair once
 (T pure, the partition respecting its boundary), so a ``SpineComplex`` is
 a checked spine and ``regions`` and ``verify_spine`` take it as is.  The
 tests check the rule against the literal union-of-links construction
-(``dual_cells_direct`` in ``tests/helpers.py``) and the types against the
-link oracle (:func:`plspines.strata.validate_types_against_links`).
+(``dual_cells_direct`` in ``tests/helpers.py``) and each cell's type
+against the link of its barycenter, classified by ``strata``.
 """
 
 from __future__ import annotations

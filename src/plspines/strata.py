@@ -5,14 +5,15 @@ is d + 1 - m where d is the ambient dimension and m is the number of
 partition classes meeting the chain's minimal face.  That rule is derived,
 not axiomatic: for ambient dimension at most 3 every cell's type is also
 read off its link (three-point / two-point links under a surface, and
-K4 / theta / circle links inside a 3-manifold), and the two must agree.
-``dual_spine`` fills the types by the rule through ``assign_types``, which
-lives in :mod:`plspines.spine` and is re-exported here.
+K4 / theta / circle links inside a 3-manifold), and the tests check that
+the two agree.  ``classify_point_link`` reads a type off a link; ``drill``
+counts vertices with it.  ``dual_spine`` fills the types by the rule
+through ``assign_types``, which lives in :mod:`plspines.spine` and is
+re-exported here.
 
-Components are formed once, by ``cell_components``: one union-find over
-the faces of T' that joins codim-1 faces with equal labels.  The strata
-and the complement of a spine (``stratum_components``) and the two sides
-of a plain pair (``nerve.pair_component_poset``) differ only in the label.
+Components are formed by ``cell_components``: one union-find over the
+faces of T' that joins codim-1 faces with equal labels.
+``stratum_components`` labels each face by its type, or d off the spine.
 """
 
 from __future__ import annotations
@@ -21,15 +22,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping
 
-from plspines.core import (
-    Complex,
-    Face,
-    InvariantViolation,
-    _UnionFind,
-    face_link,
-    join,
-    proper_subfaces,
-)
+from plspines.core import Complex, Face, _UnionFind, face_link
 from plspines.recognize import classify_graph
 from plspines.spine import SpineComplex, assign_types  # noqa: F401  (re-export)
 
@@ -44,14 +37,6 @@ _TYPE_OF_LINK = {
     # ambient dim 3 (spines of 3-manifolds)
     3: {"K4": 0, "theta": 1, "circle": 2},
 }
-
-
-def _cell_point_link(cell: Face, spine_cx: Complex) -> Complex:
-    """Link of the cell's barycenter inside the spine: bd(cell) * lk(cell).
-
-    The link avoids the cell's vertices, so the join never relabels.
-    """
-    return join(Complex(frozenset(proper_subfaces(cell))), face_link(cell, spine_cx))
 
 
 def classify_point_link(link: Complex, ambient_dim: int) -> int:
@@ -99,11 +84,12 @@ def cell_components(
     """Components of the faces of cx joined by codim-1 steps between faces
     of equal label, as ``(label, cells)`` pairs in (label, least cell) order.
 
-    Both callers label the faces of T' = cx apart from a subcomplex S:
-    ``stratum_components`` labels a spine cell by its type and every other
-    face by d; ``nerve.pair_component_poset`` labels k' by 0 and every
-    other face by 1.  Inside S each label class is joined by codim-1 steps
-    by definition (the strata), or, for k', as face inclusion joins it:
+    Its caller ``stratum_components`` labels the faces of T' = cx apart
+    from the spine S: a spine cell by its type, every other face by d.
+    The nerve of a plain pair (t, k) in ``tests/helpers.py`` takes S = k',
+    the image of k, labelled 0, and every other face 1.  Inside S each
+    label class is joined by codim-1 steps by definition (the strata), or,
+    for k', as face inclusion joins it:
 
     1. S is a subcomplex.  For the spine: a subchain's least face contains
        the chain's least face, so it meets at least as many classes, and
@@ -147,20 +133,3 @@ def stratum_components(s: SpineComplex) -> list[StratumComponent]:
     tp = s.derived.complex
     comps = cell_components(tp, {c: types.get(c, d) for c in tp.faces})
     return [StratumComponent(i, k, cells) for i, (k, cells) in enumerate(comps)]
-
-
-def validate_types_against_links(s: SpineComplex) -> int:
-    """Check the chain rule against the link oracle on every cell.
-
-    Returns the number of cells checked; raises on any disagreement.
-    """
-    spine_cx = s.as_complex()
-    d = s.ambient.dim
-    for cell in sorted(s.cells, key=lambda c: (len(c), c)):
-        via_link = classify_point_link(_cell_point_link(cell, spine_cx), d)
-        if via_link != s.cell_type[cell]:
-            raise InvariantViolation(
-                f"type formula gives {s.cell_type[cell]} but link gives "
-                f"{via_link} at cell {cell}"
-            )
-    return len(s.cells)

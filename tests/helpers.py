@@ -1,11 +1,14 @@
-"""Seeded random generators and oracles shared by the test modules.
+"""Seeded random generators, oracles and theorem checks shared by the
+test modules.
 
 The oracles are independent constructions the package's own code is
-checked against; no module under ``src/`` calls them.
+checked against; the theorem checks assert what the paper proves of the
+package's output.  No module under ``src/`` calls either.
 """
 
 import itertools
 import random
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -16,6 +19,7 @@ from plspines.core import (
     Face,
     InvariantViolation,
     SimplicialMap,
+    closure,
     closure_faces,
     connected_components,
     derived,
@@ -24,21 +28,44 @@ from plspines.core import (
     face_link,
     from_facets,
     is_connected,
+    join,
     link,
     proper_subfaces,
     star,
 )
-from plspines.homology import GF2Matrix
-from plspines.nerve import SteinFactorization
-from plspines.partitions import VertexPartition
-from plspines.recognize import classify_graph, is_pure, ridge_incidence
-from plspines.spine import SpineComplex, assign_types, vertex_count
+from plspines.drill import DrillContext, drill
+from plspines.homology import (
+    GF2Matrix,
+    NormalDisc,
+    Z2ChainComplex,
+    _bits,
+    gf2_kernel_basis,
+)
+from plspines.models import LocalModel, boundary_sphere
+from plspines.nerve import (
+    ComponentPoset,
+    NervePair,
+    SteinFactorization,
+    component_poset,
+    nerve_of_poset,
+)
+from plspines.partitions import VertexPartition, vertex_partition
+from plspines.recognize import (
+    classify_graph,
+    is_closed_curve,
+    is_closed_pseudomanifold,
+    is_closed_surface,
+    is_pure,
+    ridge_incidence,
+)
+from plspines.spine import SpineComplex, assign_types, dual_spine, vertex_count
 from plspines.strata import (
     LinkClassificationError,
     StratumComponent,
-    _cell_point_link,
+    cell_components,
     classify_all_links,
     classify_point_link,
+    stratum_components,
 )
 
 
@@ -354,6 +381,14 @@ def unchecked_spine(t: Complex, p: VertexPartition) -> SpineComplex:
     return SpineComplex(t, dt, p, frozenset(types), types, count)
 
 
+def _cell_point_link(cell: Face, spine_cx: Complex) -> Complex:
+    """Link of the cell's barycenter inside the spine: bd(cell) * lk(cell).
+
+    The link avoids the cell's vertices, so the join never relabels.
+    """
+    return join(Complex(frozenset(proper_subfaces(cell))), face_link(cell, spine_cx))
+
+
 def classify_link_lowdim(s: SpineComplex, cell: Face) -> int:
     """Type of a spine cell read off its barycenter's link."""
     if s.ambient.dim > 3:
@@ -361,6 +396,42 @@ def classify_link_lowdim(s: SpineComplex, cell: Face) -> int:
     if cell not in s.cells:
         raise ValueError(f"{cell} is not a spine cell")
     return classify_point_link(_cell_point_link(cell, s.as_complex()), s.ambient.dim)
+
+
+def validate_types_against_links(s: SpineComplex) -> int:
+    """Check the chain rule against the link oracle on every cell.
+
+    Returns the number of cells checked; raises on any disagreement.
+    """
+    spine_cx = s.as_complex()
+    d = s.ambient.dim
+    for cell in sorted(s.cells, key=lambda c: (len(c), c)):
+        via_link = classify_point_link(_cell_point_link(cell, spine_cx), d)
+        if via_link != s.cell_type[cell]:
+            raise InvariantViolation(
+                f"type formula gives {s.cell_type[cell]} but link gives "
+                f"{via_link} at cell {cell}"
+            )
+    return len(s.cells)
+
+
+def pi_boundary(n: int, k: int = 0) -> LocalModel:
+    """Boundary of the local model: dual of a canonical partition of the
+    n-sphere's n+2 vertices (n+1-k singletons, remaining vertices one class)."""
+    if not 0 <= k <= n:
+        raise ValueError(f"k must lie in 0..{n}, got {k}")
+    amb = boundary_sphere(n)
+    verts = list(amb.vertices)
+    singles = [[v] for v in verts[: n + 1 - k]]
+    rest = verts[n + 1 - k :]
+    classes = singles + ([rest] if rest else [])
+    s = dual_spine(amb, vertex_partition(amb, classes))
+    model = s.as_complex()
+    if model.dim != n - 1:
+        raise InvariantViolation(
+            f"pi_boundary({n},{k}) has dim {model.dim}, expected {n - 1}"
+        )
+    return LocalModel(s.derived.complex, model, n, k)
 
 
 def spine_vertex_count_from_links(cx: Complex, ambient_dim: int) -> int:
@@ -411,7 +482,7 @@ def stratum_components_two_rule(s: SpineComplex) -> list[StratumComponent]:
 
 
 def pair_components_two_rule(t: Complex, k: Complex) -> list[StratumComponent]:
-    """The oracle for the components of ``nerve.pair_component_poset``: the
+    """The oracle for the components of ``pair_component_poset``: the
     vertex-connected components of k' by least vertex, each typed by its
     dimension, then the complement of k' in T' joined by face inclusion."""
     dt = derived(t)
@@ -426,7 +497,7 @@ def union_of_spans(t: Complex, p: VertexPartition) -> Complex:
     return Complex(frozenset(f for f in t.faces if p.classes_meeting(f) == 1))
 
 
-# -- Stein factorization ----------------------------------------------------
+# -- Stein factorization and the nerve of a pair ----------------------------
 
 
 def stein_h_assignment(sf: SteinFactorization) -> dict[str, str]:
@@ -467,3 +538,154 @@ def stein_checks(sf: SteinFactorization) -> list[str]:
         if len(g.image(face)) != len(face):
             problems.append(f"g collapses the face {face}")
     return problems
+
+
+def pair_component_poset(t: Complex, k: Complex) -> ComponentPoset:
+    """Components of a plain pair (t, k): connected components of k and of
+    its complement.  Valid when each connected component of k is a single
+    stratum (points, circles, closed submanifold pieces)."""
+    if not t.has_subcomplex(k):
+        raise ValueError("k is not a subcomplex of t")
+    dt = derived(t)
+    kcells = derived_image(dt, k).faces
+    off_k = {c: int(c not in kcells) for c in dt.complex.faces}
+    comps = [
+        StratumComponent(i, t.dim if off else max(map(len, cells)) - 1, cells)
+        for i, (off, cells) in enumerate(cell_components(dt.complex, off_k))
+    ]
+    return component_poset(comps)
+
+
+def nerve_of_pair(t: Complex, k: Complex) -> NervePair:
+    """The nerve of a plain pair (t, k); see ``pair_component_poset``."""
+    return nerve_of_poset(t, pair_component_poset(t, k))
+
+
+# -- hypersurfaces in simple polyhedra ----------------------------------------
+
+
+def top_cycle_supports(cx: Complex) -> list[frozenset[Face]]:
+    """Supports of all top-dimensional homology classes, zero class included.
+
+    In the top dimension there are no boundaries, so classes are exactly the
+    kernel vectors of the top boundary matrix.
+    """
+    if cx.is_empty:
+        return [frozenset()]
+    ch = Z2ChainComplex(cx)
+    top = cx.dim
+    basis = gf2_kernel_basis(ch.boundaries[top])
+    faces = ch.bases[top]
+    supports = []
+    for picks in itertools.product((False, True), repeat=len(basis)):
+        vec = 0
+        for pick, v in zip(picks, basis):
+            if pick:
+                vec ^= v
+        supports.append(frozenset(faces[i] for i in _bits(vec)))
+    return sorted(set(supports), key=lambda s: (len(s), sorted(s)))
+
+
+def hypersurface_from_class(
+    cx: Complex, cycle: "frozenset[Face] | set[Face] | list[Face]"
+) -> Complex:
+    """The subcomplex representing a top-dimensional mod-2 class.
+
+    The class is given by the set of top cells it supports; the result is
+    their closure.  The support must be a closed hypersurface: each
+    codimension-1 face of it in exactly two top cells, with the
+    dimension-appropriate manifold check on top.  Failures report the
+    offending face.
+    """
+    support = frozenset(cycle)
+    if not support:
+        return Complex(frozenset())
+    top = cx.dim
+    if any(len(f) != top + 1 for f in support):
+        raise ValueError("cycle support must consist of top-dimensional cells")
+    sub = closure(cx, support)
+    rid = ridge_incidence(sub)
+    bad = sorted(s for s, n in rid.items() if n != 2)
+    if bad:
+        raise ValueError(
+            f"support is not a closed hypersurface: face {bad[0]} lies in "
+            f"{rid[bad[0]]} top cells"
+        )
+    if sub.dim == 1 and not is_closed_curve(sub):
+        raise ValueError("support fails the closed-curve link check")
+    if sub.dim == 2 and not is_closed_surface(sub):
+        for v in sub.vertices:
+            if classify_graph(face_link((v,), sub)) != "circle":
+                raise ValueError(f"support fails the surface link check at {v}")
+        raise ValueError("support fails the closed-surface check")
+    return sub
+
+
+def disc_boundary(nd: NormalDisc) -> Complex:
+    """Trace of a normal disc on the boundary sphere of its simplex:
+    the faces whose chains avoid the top simplex."""
+    amb = nd.ambient_simplex
+    top = amb.facets[0]
+    d = derived(amb)
+    top_vertex = d.vertex_of_face[top]
+    return Complex(
+        frozenset(f for f in nd.disc.faces if top_vertex not in f)
+    )
+
+
+# -- cutting along a normal hypersurface ---------------------------------------
+
+
+@dataclass(frozen=True)
+class CutReport:
+    vertices_before: int
+    vertices_after: int
+    non_increase_predicted: bool
+    non_increase_holds: bool
+    result: Complex  # the drilled spine; the spine in T'' for an empty surface
+
+
+def cut_along_hypersurface(
+    ctx: DrillContext, surface: Complex
+) -> CutReport:
+    """Drill the spine along a closed hypersurface contained in it.
+
+    The surface must be a closed pseudomanifold union of closures of
+    top-dimensional stratum components of the spine.  The ambient
+    dimension must be 3, where the theorem that the vertex count never
+    increases is stated, and the report asserts that theorem.
+    """
+    s = ctx.spine
+    d = s.ambient.dim
+    if d != 3:
+        raise ValueError(f"hypersurface cutting requires ambient dimension 3, got {d}")
+    if surface.is_empty:
+        return CutReport(
+            s.vertex_count, s.vertex_count, True, True, ctx.level2.spine
+        )
+    spine_cx = s.as_complex()
+    if not spine_cx.has_subcomplex(surface):
+        raise ValueError("surface is not a subcomplex of the spine")
+    if not is_closed_pseudomanifold(surface):
+        raise ValueError("surface is not a closed pseudomanifold")
+    # check: union of closures of top stratum components
+    top_dim = d - 1
+    whole = True
+    surf_tops = {f for f in surface.faces if len(f) == top_dim + 1}
+    for comp in stratum_components(s):
+        if comp.type != top_dim:
+            continue
+        cells = {c for c in comp.cells if len(c) == top_dim + 1}
+        inter = cells & surf_tops
+        if inter and inter != cells:
+            whole = False
+    predicted = whole
+    res = drill(ctx, surface)
+    after = res.vertices_after
+    holds = after <= s.vertex_count
+    if predicted and not holds:
+        raise InvariantViolation(
+            f"cut along a union of 2-components increased the vertex count "
+            f"{s.vertex_count} -> {after}"
+        )
+    return CutReport(s.vertex_count, after, predicted, holds, res.complex)

@@ -11,24 +11,23 @@ import zlib
 from collections import Counter
 
 from plspines.core import from_facets
-from plspines.homology import (
-    betti,
-    enumerate_normal_discs,
-    hypersurface_from_class,
-    top_cycle_supports,
-)
-from plspines.models import boundary_sphere, named_triangulation, pi_boundary
-from plspines.nerve import nerve, nerve_checks, nerve_of_pair, stein
+from plspines.homology import betti, enumerate_normal_discs
+from plspines.models import boundary_sphere, named_triangulation
+from plspines.nerve import nerve, nerve_checks, stein
 from plspines.partitions import discrete, one_vs_rest, vertex_partition
 from plspines.recognize import is_closed_curve, is_closed_pseudomanifold
 from plspines.search import search_min_vertices
 from plspines.spine import dual_spine, verify_spine
-from plspines.strata import validate_types_against_links
 from helpers import (
+    hypersurface_from_class,
+    nerve_of_pair,
+    pi_boundary,
     rainbow_top_chain_count,
     random_partition_blocks,
     random_simplicial_map,
     stein_checks,
+    top_cycle_supports,
+    validate_types_against_links,
 )
 
 CLOSED_CATALOGUE = (

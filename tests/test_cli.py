@@ -2,6 +2,7 @@ import dataclasses
 import importlib
 import json
 import os
+import runpy
 import shlex
 import subprocess
 import sys
@@ -226,6 +227,25 @@ class TestExitCodes:
         assert "nerve-0or2: FAIL\n" in res.stdout
         assert res.stderr == "error: injected\n"
 
+    @pytest.mark.parametrize("cmd", ["nerve", "report"])
+    def test_arc_with_boundary_exits_0(self, runner, cmd):
+        # nerve-0or2 is stated for closed manifold pairs; at an end of the
+        # arc the nerve has a free vertex
+        res = runner.invoke(main, [cmd, "--partition", "discrete"], input="dim 1\na b\nb c\n")
+        assert res.exit_code == 0
+        assert "nerve-0or2: n/a (boundary)\n" in res.stdout
+
+    @pytest.mark.parametrize("cmd", ["gen", "search"])
+    def test_unwritable_out_exits_1(self, tmp_path, cmd):
+        out = subprocess.run(
+            [sys.executable, "-m", "plspines", "--out", str(tmp_path / "missing" / "x"),
+             cmd, "--name", "S1_triangle"],
+            capture_output=True, text=True, timeout=120, env=_env(),
+        )
+        assert out.returncode == 1
+        assert "Traceback" not in out.stderr
+        assert out.stderr.startswith("error:")
+
     @pytest.mark.parametrize("cmd", sorted(PAIR_COMMANDS))
     def test_bad_partition_spec_exits_1(self, runner, cmd):
         res = runner.invoke(main, [cmd, "--name", "S2_tetra", "--partition", "a,zz"])
@@ -376,6 +396,19 @@ def test_traced_harness_names_resolve(monkeypatch):
     assert callable(plspines.core.derived.cache_info)
     for name in plspines.__all__:
         assert getattr(plspines, name) is not None, name
+
+
+# read from the file itself: runpy compiles it without writing bytecode
+TRACE_TARGETS = sorted(
+    runpy.run_path(str(Path(__file__).resolve().parents[1] / "bench" / "traced_cli.py"))["TARGETS"]
+)
+
+
+@pytest.mark.parametrize("modname,fn_name", TRACE_TARGETS, ids=[".".join(k) for k in TRACE_TARGETS])
+def test_trace_target_resolves(modname, fn_name):
+    # install() looks up every target by name, so a moved or renamed one
+    # breaks every --trace 1 run
+    assert callable(getattr(importlib.import_module(modname), fn_name, None))
 
 
 TRACED_RUNS = [

@@ -20,14 +20,12 @@ from plspines.core import (
     subcomplex_spanned,
 )
 from plspines.drill import (
-    cut_along_hypersurface,
     drill,
     eligible_drill_vertices,
     frontier_of,
     prepare,
     sample_drill_points,
 )
-from plspines.homology import hypersurface_from_class, top_cycle_supports
 from plspines.models import boundary_sphere, catalogue_names, named_triangulation
 from plspines.partitions import discrete, one_vs_rest, single_class
 from plspines.recognize import boundary_complex
@@ -35,10 +33,13 @@ from plspines.search import search_min_vertices
 from plspines.spine import dual_spine, verify_spine
 from plspines.strata import classify_all_links, classify_point_link
 from helpers import (
+    cut_along_hypersurface,
+    hypersurface_from_class,
     random_complex,
     random_pure_complex,
     regular_neighborhood_direct,
     spine_vertex_count_from_links,
+    top_cycle_supports,
 )
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)

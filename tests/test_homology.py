@@ -11,17 +11,22 @@ from plspines.homology import (
     Z2ChainComplex,
     betti,
     betti_all,
-    disc_boundary,
     enumerate_normal_discs,
     gf2_kernel_basis,
     gf2_rank,
-    hypersurface_from_class,
-    top_cycle_supports,
 )
 from plspines.collapse import collapses_to_point
-from plspines.models import pi_boundary
 from plspines.recognize import is_closed_curve, is_closed_pseudomanifold, is_closed_surface
-from helpers import from_dense, gf2_row_reduce, random_complex, to_dense
+from helpers import (
+    disc_boundary,
+    from_dense,
+    gf2_row_reduce,
+    hypersurface_from_class,
+    pi_boundary,
+    random_complex,
+    to_dense,
+    top_cycle_supports,
+)
 
 # Fixed example sequence: the suite's data does not change between runs.
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)

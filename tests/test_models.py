@@ -7,12 +7,11 @@ from plspines.models import (
     boundary_sphere,
     dual_model,
     named_triangulation,
-    pi_boundary,
     simplex,
 )
 from plspines.partitions import vertex_partition
 from plspines.recognize import classify_graph, euler_characteristic, is_closed_curve
-from helpers import isomorphic, random_partition_blocks
+from helpers import isomorphic, pi_boundary, random_partition_blocks
 
 
 class TestGenerators:

@@ -26,8 +26,6 @@ from plspines.nerve import (
     component_poset,
     nerve,
     nerve_checks,
-    nerve_of_pair,
-    pair_component_poset,
     stein,
 )
 from plspines.partitions import discrete, one_vs_rest, single_class
@@ -38,6 +36,8 @@ from plspines.strata import cell_components, stratum_components
 from helpers import (
     is_arc,
     isomorphic,
+    nerve_of_pair,
+    pair_component_poset,
     rainbow_top_chain_count,
     random_simplicial_map,
     stein_checks,

@@ -2,23 +2,24 @@ from collections import Counter
 
 import pytest
 
-from plspines.models import catalogue_names, named_triangulation, pi_boundary
-from plspines.nerve import pair_component_poset
+from plspines.models import catalogue_names, named_triangulation
 from plspines.partitions import discrete, one_vs_rest, single_class, vertex_partition
 from plspines.recognize import classify_graph
 from plspines.spine import dual_spine
 from plspines.strata import (
     LinkClassificationError,
     stratum_components,
-    validate_types_against_links,
 )
 from helpers import (
     classify_link_lowdim,
+    pair_component_poset,
     pair_components_two_rule,
+    pi_boundary,
     spine_vertex_count_from_links,
     stratum_components_two_rule,
     union_of_spans,
     unchecked_spine,
+    validate_types_against_links,
 )
 
 
