@@ -232,7 +232,8 @@ def dual_spine_cmd(ctx, t, p):
 @pair_input()
 @click.pass_context
 def verify_spine_cmd(ctx, t, p):
-    """Certify the spine by collapsing the complement regions."""
+    """Certify the spine: each complement region is a ball, or a collar on
+    the boundary, decided on its class's span where the span can."""
     cert = verify_spine(dual_spine(t, p), seed=ctx.obj["seed"])
     click.echo(f"certificate: {cert.certificate}")
     click.echo(f"vertices: {cert.vertices}")

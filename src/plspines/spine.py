@@ -10,6 +10,12 @@ a checked spine and ``regions`` and ``verify_spine`` take it as is.  The
 tests check the rule against the literal union-of-links construction
 (``dual_cells_direct`` in ``tests/helpers.py``) and each cell's type
 against the link of its barycenter, classified by ``strata``.
+
+A dual spine is a spine when each complement region is a ball (a collar
+where it meets the boundary).  A region component is a regular
+neighbourhood of a span component of its class, and
+``certify_span_component`` certifies it on that span where it can; both
+``certify_class`` (one class, for search) and ``verify_spine`` go through it.
 """
 
 from __future__ import annotations
@@ -172,63 +178,56 @@ def certify_region_component(
     comp: Complex, boundary2: Complex, seed: int = 0
 ) -> tuple[str, bool, int]:
     """Certify one region component: ``(kind, ok, faces)``, kind ball or collar."""
-    target_faces = comp.faces & boundary2.faces
-    if target_faces:
-        target = Complex(target_faces)
-        ok = collapses_onto(comp, target, seed=seed)
-        kind = "collar"
-    else:
-        ok = collapses_to_point(comp, seed=seed)
-        kind = "ball"
-    return kind, ok, len(comp.faces)
+    target = comp.faces & boundary2.faces
+    if target:
+        return "collar", collapses_onto(comp, Complex(target), seed=seed), len(comp.faces)
+    return "ball", collapses_to_point(comp, seed=seed), len(comp.faces)
+
+
+def certify_span_component(
+    t: Complex, comp: Complex, boundary: Complex, seed: int = 0
+) -> tuple[str, bool, int]:
+    """Certify the region of the span component ``comp``: ``(kind, ok, faces)``.
+
+    Off the boundary of t, the region deformation-retracts onto ``comp``:
+    an Euler characteristic other than 1 is an exact "no", and a
+    collapsible ``comp`` makes it a ball (Whitehead; Rourke-Sanderson,
+    Cor. 3.27); ``faces`` then counts ``comp``.  A stuck span is not an
+    exact "no" in dimension 3 (the dunce hat has a 3-ball as a regular
+    neighbourhood), so it falls back, as a component on the boundary does,
+    to ``certify_region_component`` on its region in T''.
+    """
+    if comp.faces.isdisjoint(boundary.faces):
+        if euler_characteristic(comp) != 1:
+            return "ball", False, len(comp.faces)
+        if collapses_to_point(comp, seed=seed):
+            return "ball", True, len(comp.faces)
+    region = region_of_class(t, frozenset(comp.vertices))
+    return certify_region_component(region, boundary_in_t2(t), seed=seed)
 
 
 def certify_class(t: Complex, cls: frozenset[str], seed: int = 0) -> bool:
-    """Ball certificate for the region of one class of a closed manifold.
-
-    The region is a regular neighborhood of the span of the class, so each
-    region component deformation-retracts onto a span component, and it
-    is a ball when that span component is collapsible (Whitehead;
-    Rourke-Sanderson, Cor. 3.27).  A span component whose Euler
-    characteristic is not 1 is an exact "no"; if every span component
-    collapses the answer is "yes"; otherwise the regions in T'' are
-    certified instead, so no answer is worse than theirs.
-
-    A span that gets stuck (Euler characteristic 1, no free face) is not an
-    exact "no" in dimension 3: a contractible 2-complex with no free face,
-    such as the dunce hat or Bing's house, can still have a 3-ball as its
-    regular neighbourhood, and that region can collapse.  So a stuck span
-    falls back to the region rather than answering "no".
-    """
+    """Ball certificate for the region of one class of a closed manifold,
+    span component by span component, every Euler characteristic first."""
     comps = connected_components(subcomplex_spanned(t, cls))
     if any(euler_characteristic(c) != 1 for c in comps):
         return False
-    if all(collapses_to_point(c, seed=seed) for c in comps):
-        return True
-    return all(
-        collapses_to_point(comp, seed=seed)
-        for comp in connected_components(region_of_class(t, cls))
-    )
+    return all(certify_span_component(t, c, EMPTY, seed=seed)[1] for c in comps)
 
 
 def verify_spine(s: SpineComplex, seed: int = 0) -> SpineCertificate:
-    """Certify that the dual spine is a spine by checking its complement.
-
-    Interior region components must collapse to a point (a ball certificate,
-    sound for dimension at most 3); components touching the boundary must
-    collapse onto their boundary part (a collar certificate).  A failed
-    collapse yields "unknown", never "not a spine".
+    """Certify the spine by its complement: one ``certify_span_component``
+    report per class and span component.  Balls are sound for dimension
+    at most 3 ("yes (heuristic)" above); a failed collapse yields
+    "unknown", never "not a spine".
     """
-    bd2 = boundary_in_t2(s.ambient)
-    reports = []
-    all_ok = True
-    for ci, (cls, mv) in enumerate(regions(s)):
-        for ki, comp in enumerate(connected_components(mv)):
-            kind, ok, nfaces = certify_region_component(comp, bd2, seed=seed)
-            reports.append(RegionReport(ci, ki, kind, ok, nfaces))
-            all_ok = all_ok and ok
-    if all_ok:
-        cert = "yes" if s.ambient.dim <= 3 else "yes (heuristic)"
-    else:
-        cert = "unknown"
-    return SpineCertificate(cert, s.vertex_count, tuple(reports))
+    t = s.ambient
+    bd = boundary_complex(t)
+    reports = tuple(
+        RegionReport(ci, ki, *certify_span_component(t, comp, bd, seed=seed))
+        for ci, cls in enumerate(s.partition.classes)
+        for ki, comp in enumerate(connected_components(subcomplex_spanned(t, cls)))
+    )
+    ok = all(r.ok for r in reports)
+    cert = ("yes" if t.dim <= 3 else "yes (heuristic)") if ok else "unknown"
+    return SpineCertificate(cert, s.vertex_count, reports)

@@ -31,6 +31,12 @@ JOBS = [
         ["verify-spine", "--name", "D2_triangle", "--partition", "single"],
         2,
     ),
+    # every span component collapses: the face counts are the spans' own
+    (
+        "verify_spine_S3_pentachoron_one_vs_rest",
+        ["verify-spine", "--name", "S3_pentachoron", "--partition", "one-vs-rest"],
+        0,
+    ),
     (
         "drill_S2_tetra",
         ["--seed", "5", "drill", "--name", "S2_tetra", "--partition", "a,b|c,d", "--points", "2"],

@@ -26,6 +26,7 @@ from helpers import (
     unchecked_spine,
     validate_complex,
 )
+from test_acceptance import catalogue_spine_family
 
 
 class TestDualSpine:
@@ -188,10 +189,38 @@ class TestVerifySpine:
             [["a", "b", "m"], ["b", "c", "m"], ["a", "c", "m"]]
         )
         p = vertex_partition(disc, [["a", "b", "c"], ["m"]])
-        cert = verify_spine(dual_spine(disc, p))
+        s = dual_spine(disc, p)
+        cert = verify_spine(s)
         assert cert.certificate == "yes"
         kinds = sorted(r.kind for r in cert.region_reports)
         assert kinds == ["ball", "collar"]
+        # the collar is certified on its region, the inner point on its span
+        (collar,) = [r for r in cert.region_reports if r.kind == "collar"]
+        (ball,) = [r for r in cert.region_reports if r.kind == "ball"]
+        cls, region = regions(s)[collar.class_index]
+        assert cls == frozenset("abc")
+        assert collar.faces == len(region.faces)
+        assert ball.faces == 1
+
+    @pytest.mark.parametrize("name,partition", [("T2_7", discrete), ("S3_pentachoron", one_vs_rest)])
+    def test_collapsible_spans_build_no_region(self, monkeypatch, name, partition):
+        # every span component is a point or a simplex: no region in T''
+        t = named_triangulation(name)
+        s = dual_spine(t, partition(t))
+        built = []
+        monkeypatch.setattr(spine, "region_of_class", lambda *a: built.append(a))
+        assert verify_spine(s).certificate == "yes"
+        assert built == []
+
+    def test_yes_whenever_every_region_collapses(self):
+        # the region certificate stays the oracle: a span decides only
+        # what its region's certificate would, or turns "unknown" into "yes"
+        checked = 0
+        for name, label, t, p in catalogue_spine_family():
+            if all(region_certified(t, cls) for cls in p.classes):
+                assert verify_spine(dual_spine(t, p)).is_yes, (name, label)
+                checked += 1
+        assert checked == 19  # of the 28 pairs
 
     @pytest.mark.parametrize("name,partition", [
         ("T2_7", discrete), ("RP2_6", one_vs_rest), ("D2_triangle", single_class),
