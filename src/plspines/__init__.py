@@ -24,7 +24,7 @@ from plspines.core import (
     connected_components,
 )
 from plspines.partitions import VertexPartition, vertex_partition
-from plspines.spine import SpineComplex, dual_spine, verify_spine, regions
+from plspines.spine import SpineComplex, dual_spine, verify_spine
 from plspines.search import search_min_vertices
 
 __all__ = [
@@ -48,6 +48,5 @@ __all__ = [
     "SpineComplex",
     "dual_spine",
     "verify_spine",
-    "regions",
     "search_min_vertices",
 ]

@@ -11,14 +11,15 @@ source, T'' here: the vertices of T''' are the faces of T'' and its faces
 are their chains, so fibers and middle are read off T'' and T''' is not
 built.  The middle is the order complex of the fiber components, ordered
 by "a face of A lies in a face of B", and ``core.chains`` lists it as it
-lists the pre-nerve.  Inside ``stein`` faces are int ids in tuple order
-and middle vertices int ids in label order; h is returned as ids, and
-labels return only in the middle and in g (proofs at ``stein``).
+lists the pre-nerve.  One ``strata.cell_components`` walk over the
+codim-1 subfaces of T'' gives both the fiber components and the steps
+that order them.  Inside ``stein`` faces are int ids in tuple order and
+middle vertices int ids in label order; h is returned as ids, and labels
+return only in the middle and in g (proofs at ``stein``).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -27,7 +28,6 @@ from plspines.core import (
     Face,
     InvariantViolation,
     SimplicialMap,
-    _UnionFind,
     chains,
     closure_faces,
     derived,
@@ -35,7 +35,7 @@ from plspines.core import (
 )
 from plspines.recognize import ridge_incidence
 from plspines.spine import SpineComplex
-from plspines.strata import StratumComponent, stratum_components
+from plspines.strata import StratumComponent, cell_components, stratum_components
 
 
 # -- Stein factorization -----------------------------------------------------
@@ -55,11 +55,6 @@ class SteinFactorization:
     h: tuple[int, ...]
     g_assignment: Mapping[str, str]
     middle: Complex
-
-
-def _codim1(face: Face, fid: Mapping[Face, int]) -> list[int]:
-    """Ids of the nonempty codim-1 subfaces of face (none for a vertex)."""
-    return [fid[s] for s in itertools.combinations(face, len(face) - 1) if s]
 
 
 def stein(f: SimplicialMap) -> SteinFactorization:
@@ -100,55 +95,44 @@ def stein(f: SimplicialMap) -> SteinFactorization:
        for a chain c, so g(h(c)) = f'(c) is a face: g is simplicial, and
        no map is validated face by face here.
 
-    Face ids follow tuple order, so the least id of a fiber component,
-    its ``_UnionFind`` root, is its least face.  Codim-1 subfaces are
-    walked twice, for the fibers and for the order, and not stored.
-    Middle vertices are ints numbered in the order of their ``w/i``
-    labels; ``h`` is returned as those ids.
+    Source faces are int ids in tuple order.  ``strata.cell_components``
+    labels them by f' and, in one walk over codim-1 subfaces, returns the
+    fiber components (fact 1) in (w, least face) order, so the components
+    over w are consecutive and the i-th of them is ``w/i``, and the pairs
+    of components one codim-1 step apart, which generate <= (fact 2).
+    ``h`` is returned as middle-vertex ids, numbered in ``w/i`` order.
     """
     src = f.source
     tlabel = derived_labels(f.target.faces)
     faces = sorted(src.faces)
-    fid = {s: i for i, s in enumerate(faces)}
     a = [tlabel[f.image(s)] for s in faces]  # f'
     # per-face scaffolding is deleted once used: the middle, built last,
     # would otherwise be allocated on top of it
-    uf = _UnionFind(range(len(faces)))
-    for t, face in enumerate(faces):
-        for s in _codim1(face, fid):
-            if a[s] == a[t]:
-                uf.union(s, t)
-    root = [uf.find(v) for v in range(len(faces))]
-    del uf
-    names: dict[int, str] = {}  # fiber component root -> its w/i label
-    per_target: dict[str, int] = {}
-    for v, r in enumerate(root):
-        if r == v:
-            i = per_target.get(a[v], 0)
-            per_target[a[v]] = i + 1
-            names[v] = f"{a[v]}/{i}"
-    reps = sorted(names, key=names.__getitem__)  # middle id -> its root
-    mid = {r: m for m, r in enumerate(reps)}
-    h = tuple(mid[r] for r in root)
-    del root
+    comp, steps = cell_components(faces, a)
+    least: dict[int, int] = {}  # fiber component -> its least face
+    for v, k in enumerate(comp):
+        least.setdefault(k, v)
+    g = [a[least[k]] for k in range(len(least))]
+    for k, w in zip(comp, a):
+        if g[k] != w:
+            raise InvariantViolation("Stein factorization does not compose to f'")
+    names: list[str] = []
+    first: dict[str, int] = {}  # w -> its first component; those over w are consecutive
+    for k, w in enumerate(g):
+        names.append(f"{w}/{k - first.setdefault(w, k)}")
+    mid = {k: m for m, k in enumerate(sorted(range(len(names)), key=names.__getitem__))}
+    h = tuple(mid[k] for k in comp)
+    del comp
 
     # the order: codim-1 steps between components, closed from the top down
-    above: list[set[int]] = [set() for _ in reps]
-    for t, face in enumerate(faces):
-        for s in _codim1(face, fid):
-            if h[s] != h[t]:
-                above[h[s]].add(h[t])
-    del fid
-    for m in sorted(range(len(reps)), key=lambda m: len(f.image(faces[reps[m]])), reverse=True):
-        above[m] |= {c for b in above[m] for c in above[b]}
-    mlabels = [names[r] for r in reps]
-    middle = Complex(frozenset(chains(above, mlabels, range(len(reps)))))
-
-    g = [a[r] for r in reps]
-    for m, w in zip(h, a):
-        if g[m] != w:
-            raise InvariantViolation("Stein factorization does not compose to f'")
-    return SteinFactorization(src, f.target, h, dict(zip(mlabels, g)), middle)
+    above: list[set[int]] = [set() for _ in names]
+    for x, y in steps:
+        above[x].add(y)
+    del steps
+    for k in sorted(range(len(names)), key=lambda k: len(f.image(faces[least[k]])), reverse=True):
+        above[k] |= {c for b in above[k] for c in above[b]}
+    middle = Complex(frozenset(chains(above, names, range(len(names)))))
+    return SteinFactorization(src, f.target, h, dict(sorted(zip(names, g))), middle)
 
 
 # -- component posets ---------------------------------------------------------

@@ -6,8 +6,8 @@ spine cell exactly when its minimal face meets at least two partition
 classes, and its type is d + 1 minus that number of classes, both read in
 one pass over T' by ``assign_types``.  ``dual_spine`` checks the pair once
 (T pure, the partition respecting its boundary), so a ``SpineComplex`` is
-a checked spine and ``regions`` and ``verify_spine`` take it as is.  The
-tests check the rule against the literal union-of-links construction
+a checked spine and ``verify_spine`` takes it as is.  The tests check the
+rule against the literal union-of-links construction
 (``dual_cells_direct`` in ``tests/helpers.py``) and each cell's type
 against the link of its barycenter, classified by ``strata``.
 
@@ -140,15 +140,6 @@ def boundary_in_t2(t: Complex) -> Complex:
     if bd.is_empty:
         return EMPTY
     return derived(derived_image(derived(t), bd)).complex
-
-
-def regions(s: SpineComplex) -> tuple[tuple[frozenset[str], Complex], ...]:
-    """The ``(class, region)`` pairs of the spine's pair: each class's
-    region in T'', in class order.  Distinct regions share no face: by
-    ``derived_star`` a face c of T'' is in a class's region exactly when
-    the least face of T in the least T' face of c has its vertices in that
-    class, and a face of T has that for at most one class."""
-    return tuple((cls, region_of_class(s.ambient, cls)) for cls in s.partition.classes)
 
 
 # -- spine certificate -------------------------------------------------------

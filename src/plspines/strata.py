@@ -11,16 +11,18 @@ counts vertices with it.  ``dual_spine`` fills the types by the rule
 through ``assign_types``, which lives in :mod:`plspines.spine` and is
 re-exported here.
 
-Components are formed by ``cell_components``: one union-find over the
-faces of T' that joins codim-1 faces with equal labels.
-``stratum_components`` labels each face by its type, or d off the spine.
+``cell_components`` is the one kernel for components of a labelled face
+poset: on int face ids, one walk over codim-1 subfaces gives each face's
+component and the pairs of components one step between labels apart.
+``stratum_components`` labels the faces of T' by type, or d off the
+spine; ``nerve.stein`` labels its source's faces by f'.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Hashable, Sequence
 
 from plspines.core import Complex, Face, _UnionFind, face_link
 from plspines.recognize import classify_graph
@@ -79,17 +81,23 @@ class StratumComponent:
 
 
 def cell_components(
-    cx: Complex, label: Mapping[Face, int]
-) -> list[tuple[int, frozenset[Face]]]:
-    """Components of the faces of cx joined by codim-1 steps between faces
-    of equal label, as ``(label, cells)`` pairs in (label, least cell) order.
+    faces: Sequence[Face], label: Sequence[Hashable]
+) -> tuple[list[int], set[tuple[int, int]]]:
+    """Components of a complex's faces joined by codim-1 steps between
+    faces of equal label, read in one walk over codim-1 subfaces.
 
-    Its caller ``stratum_components`` labels the faces of T' = cx apart
-    from the spine S: a spine cell by its type, every other face by d.
-    The nerve of a plain pair (t, k) in ``tests/helpers.py`` takes S = k',
-    the image of k, labelled 0, and every other face 1.  Inside S each
-    label class is joined by codim-1 steps by definition (the strata), or,
-    for k', as face inclusion joins it:
+    ``faces`` are all faces of a complex in tuple order and ``label[i]``
+    labels ``faces[i]``.  Returns each face's component id, ids in
+    (label, least face) order, and the pairs (id of s, id of t) for the
+    codim-1 steps s < t between different labels.  Face i is id i inside,
+    so the ``_UnionFind`` root of a component is its least face.
+
+    Its caller ``stratum_components`` labels the faces of T' apart from
+    the spine S: a spine cell by its type, every other face by d.  The
+    nerve of a plain pair (t, k) in ``tests/helpers.py`` takes S = k', the
+    image of k, labelled 0, and every other face 1.  Inside S each label
+    class is joined by codim-1 steps by definition (the strata), or, for
+    k', as face inclusion joins it:
 
     1. S is a subcomplex.  For the spine: a subchain's least face contains
        the chain's least face, so it meets at least as many classes, and
@@ -104,24 +112,29 @@ def cell_components(
        (``core.connected_components``).
     4. A component of k' is a subcomplex, so its least cell is (v,) for
        its least vertex v: ordering by least cell is ordering by least
-       vertex.  The ``_UnionFind`` root of a component is its least cell.
+       vertex.
 
-    This order also fixes the names of Stein's middle vertices: with the
-    faces of f's source labelled by f', the i-th component over w is the
-    fiber component ``nerve.stein`` names ``w/i``.
+    ``nerve.stein`` labels the faces of f's source by f': the components
+    are its fibers, the i-th over w is the one it names ``w/i``, and the
+    step pairs generate its order.
     """
-    uf = _UnionFind(cx.faces)
-    for c in cx.faces:
-        if len(c) > 1:
-            k = label[c]
-            for f in itertools.combinations(c, len(c) - 1):
-                if label[f] == k:
-                    uf.union(f, c)
-    groups: dict[Face, list[Face]] = {}
-    for c in cx.faces:
-        groups.setdefault(uf.find(c), []).append(c)
-    roots = sorted(groups, key=lambda r: (label[r], r))
-    return [(label[r], frozenset(groups[r])) for r in roots]
+    fid = {c: i for i, c in enumerate(faces)}
+    uf = _UnionFind(fid.values())  # the same int objects, not a second set
+    steps = set()  # root pairs; a root may be merged away later
+    for t, c in enumerate(faces):
+        for f in itertools.combinations(c, len(c) - 1):
+            if f:
+                s = fid[f]
+                if label[s] == label[t]:
+                    uf.union(s, t)
+                else:
+                    steps.add((uf.find(s), uf.find(t)))
+    del fid
+    root = [uf.find(v) for v in range(len(faces))]
+    del uf
+    reps = sorted((v for v, r in enumerate(root) if r == v), key=lambda v: (label[v], v))
+    cid = {r: i for i, r in enumerate(reps)}
+    return [cid[r] for r in root], {(cid[root[s]], cid[root[t]]) for s, t in steps}
 
 
 def stratum_components(s: SpineComplex) -> list[StratumComponent]:
@@ -129,7 +142,10 @@ def stratum_components(s: SpineComplex) -> list[StratumComponent]:
     then the components of the complement of the spine in T' as
     components of type d."""
     d = s.ambient.dim
-    types = s.cell_type
-    tp = s.derived.complex
-    comps = cell_components(tp, {c: types.get(c, d) for c in tp.faces})
-    return [StratumComponent(i, k, cells) for i, (k, cells) in enumerate(comps)]
+    faces = sorted(s.derived.complex.faces)
+    types = [s.cell_type.get(c, d) for c in faces]
+    comp, _ = cell_components(faces, types)
+    cells: list[list[Face]] = [[] for _ in range(max(comp) + 1)]
+    for c, i in zip(faces, comp):
+        cells[i].append(c)
+    return [StratumComponent(i, s.cell_type.get(cs[0], d), frozenset(cs)) for i, cs in enumerate(cells)]

@@ -6,6 +6,7 @@ checked against; the theorem checks assert what the paper proves of the
 package's output.  No module under ``src/`` calls either.
 """
 
+import collections
 import itertools
 import random
 from dataclasses import dataclass
@@ -58,7 +59,7 @@ from plspines.recognize import (
     is_pure,
     ridge_incidence,
 )
-from plspines.spine import SpineComplex, assign_types, dual_spine, vertex_count
+from plspines.spine import SpineComplex, assign_types, dual_spine, region_of_class, vertex_count
 from plspines.strata import (
     LinkClassificationError,
     StratumComponent,
@@ -364,11 +365,20 @@ def regular_neighborhood_direct(sub: Complex, amb: Complex) -> Complex:
     return star(derived_image(d2, derived_image(d1, sub)), d2.complex)
 
 
-def spine_neighborhood(t: Complex, regions) -> Complex:
-    """Closure in T'' of the faces outside every region of ``regions``,
-    the ``(class, region)`` pairs of ``spine.regions(s)``."""
+def regions(s: SpineComplex) -> tuple[tuple[frozenset[str], Complex], ...]:
+    """The ``(class, region)`` pairs of the spine's pair: each class's
+    region in T'', in class order.  Distinct regions share no face: by
+    ``derived_star`` a face c of T'' is in a class's region exactly when
+    the least face of T in the least T' face of c has its vertices in that
+    class, and a face of T has that for at most one class."""
+    return tuple((cls, region_of_class(s.ambient, cls)) for cls in s.partition.classes)
+
+
+def spine_neighborhood(t: Complex, pairs) -> Complex:
+    """Closure in T'' of the faces outside every region of ``pairs``,
+    the ``(class, region)`` pairs of ``regions(s)``."""
     t2 = derived(derived(t).complex).complex
-    covered = set().union(*(mv.faces for _, mv in regions))
+    covered = set().union(*(mv.faces for _, mv in pairs))
     return Complex(closure_faces(f for f in t2.faces if f not in covered))
 
 
@@ -441,6 +451,38 @@ def spine_vertex_count_from_links(cx: Complex, ambient_dim: int) -> int:
     if ambient_dim == 1:
         return len(cx.vertices)
     return sum(1 for t in classify_all_links(cx, ambient_dim).values() if t == 0)
+
+
+def cell_components_bfs(faces: Sequence[Face], label: Sequence) -> tuple[list[int], set[tuple[int, int]]]:
+    """The oracle for ``strata.cell_components``: breadth-first search from
+    each face not yet reached, through codim-1 subfaces and cofaces of the
+    same label; components numbered in (label, least face) order, and the
+    pairs of components that a codim-1 step between labels joins."""
+    index = {c: i for i, c in enumerate(faces)}
+    steps = [(index[f], t) for t, c in enumerate(faces)
+             for f in itertools.combinations(c, len(c) - 1) if f]
+    nbrs: list[list[int]] = [[] for _ in faces]
+    for s, t in steps:
+        if label[s] == label[t]:
+            nbrs[s].append(t)
+            nbrs[t].append(s)
+    found: list[list[int]] = []
+    comp: list[int] = [-1] * len(faces)
+    for v in range(len(faces)):
+        if comp[v] < 0:
+            comp[v] = len(found)
+            queue, members = collections.deque([v]), [v]
+            while queue:
+                for u in nbrs[queue.popleft()]:
+                    if comp[u] < 0:
+                        comp[u] = comp[v]
+                        queue.append(u)
+                        members.append(u)
+            found.append(members)
+    order = sorted(range(len(found)), key=lambda i: (label[min(found[i])], min(found[i])))
+    rank = {i: r for r, i in enumerate(order)}
+    comp = [rank[i] for i in comp]
+    return comp, {(comp[s], comp[t]) for s, t in steps if label[s] != label[t]}
 
 
 def _components_of_cells(cells: set[Face], neighbors) -> list[frozenset[Face]]:
@@ -548,12 +590,15 @@ def pair_component_poset(t: Complex, k: Complex) -> ComponentPoset:
         raise ValueError("k is not a subcomplex of t")
     dt = derived(t)
     kcells = derived_image(dt, k).faces
-    off_k = {c: int(c not in kcells) for c in dt.complex.faces}
-    comps = [
-        StratumComponent(i, t.dim if off else max(map(len, cells)) - 1, cells)
-        for i, (off, cells) in enumerate(cell_components(dt.complex, off_k))
-    ]
-    return component_poset(comps)
+    faces = sorted(dt.complex.faces)
+    comp, _ = cell_components(faces, [int(c not in kcells) for c in faces])
+    cells: list[list[Face]] = [[] for _ in range(max(comp) + 1)]
+    for c, i in zip(faces, comp):
+        cells[i].append(c)
+    return component_poset([
+        StratumComponent(i, t.dim if cs[0] not in kcells else max(map(len, cs)) - 1, frozenset(cs))
+        for i, cs in enumerate(cells)
+    ])
 
 
 def nerve_of_pair(t: Complex, k: Complex) -> NervePair:

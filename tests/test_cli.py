@@ -359,6 +359,27 @@ class TestDeterminism:
         ]
         assert outs[0] == outs[1]
 
+    def test_stein_independent_of_hash_seed(self):
+        # Stein's step pairs come out of a set, and stdout's f-vectors would
+        # not show a middle numbered in another order
+        code = (
+            "import hashlib\n"
+            "from plspines.models import named_triangulation\n"
+            "from plspines.nerve import nerve\n"
+            "from plspines.partitions import one_vs_rest\n"
+            "from plspines.spine import dual_spine\n"
+            "t = named_triangulation('S3_pentachoron')\n"
+            "sf = nerve(dual_spine(t, one_vs_rest(t))).stein\n"
+            "print(hashlib.sha256(repr((sf.h, sorted(sf.middle.vertices))).encode()).hexdigest())\n"
+        )
+        outs = [
+            subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           timeout=120, env=_env(PYTHONHASHSEED=seed), check=True).stdout
+            for seed in ("1", "4242")
+        ]
+        assert len(outs[0]) == 65
+        assert outs[0] == outs[1]
+
 
 def test_cli_import_leaves_numpy_unloaded():
     code = "import sys, plspines.cli; print('numpy' in sys.modules)"

@@ -32,7 +32,7 @@ from plspines.partitions import discrete, one_vs_rest, single_class
 from plspines.recognize import is_closed_curve
 from plspines.search import search_min_vertices
 from plspines.spine import dual_spine, vertex_count
-from plspines.strata import cell_components, stratum_components
+from plspines.strata import stratum_components
 from helpers import (
     is_arc,
     isomorphic,
@@ -178,27 +178,6 @@ class TestSteinOnFacePoset:
         f = random_simplicial_map(rng, max_source_faces=40)
         _assert_matches_oracle(_relabelled(f, rng, STAR_LABELS))
 
-    # The fibers are the components ``strata.cell_components`` forms with
-    # the faces labelled by f', and the i-th of them over w is named w/i.
-    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
-    @given(st.integers(min_value=0, max_value=2**32 - 1))
-    def test_fibers_are_cell_components_in_order(self, seed):
-        rng = random.Random(seed)
-        f = random_simplicial_map(rng, max_source_faces=40)
-        for g in (f, _relabelled(f, rng, STAR_LABELS)):
-            sf = stein(g)
-            mlabels = sorted(sf.middle.vertices)
-            fibers: dict[str, set] = {}
-            for s, m in zip(sorted(g.source.faces), sf.h):
-                fibers.setdefault(mlabels[m], set()).add(s)
-            label = {s: derived_vertex_label(g.image(s)) for s in g.source.faces}
-            named, count = {}, {}
-            for w, cells in cell_components(g.source, label):
-                i = count[w] = count.get(w, -1) + 1
-                named[f"{w}/{i}"] = cells
-            assert {frozenset(c) for c in fibers.values()} == set(named.values())
-            assert fibers == named
-
     def test_stein_labels_only_the_target(self, monkeypatch):
         # the source faces are numbered in tuple order; derived labels name
         # only the target's faces, the vertices g maps to
@@ -289,6 +268,14 @@ class TestPrenerve:
         np_ = nerve(dual_spine(sphere2, discrete(sphere2)))
         assert np_.prenerve.dim == 2
         assert len(np_.prenerve.faces_of_dim(2)) > 0
+
+    def test_pair_off_the_frontier_condition_raises(self):
+        # an edge of a circle and the open arc off it: neither component
+        # lies in the other's closure, so the pre-nerve has no edge for the
+        # T'' edges between them, and the pre-nerve map is not simplicial
+        s1 = named_triangulation("S1_triangle")
+        with pytest.raises(ValueError, match="not a target face"):
+            nerve_of_pair(s1, from_facets([["a", "b"]]))
 
 
 class TestNerve:

@@ -12,7 +12,6 @@ from plspines import spine
 from plspines.spine import (
     certify_class,
     dual_spine,
-    regions,
     vertex_count,
     verify_spine,
 )
@@ -21,6 +20,7 @@ from helpers import (
     random_partition_blocks,
     random_pure_complex,
     region_certified,
+    regions,
     set_partitions,
     spine_neighborhood,
     unchecked_spine,

@@ -1,6 +1,9 @@
+import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plspines.models import catalogue_names, named_triangulation
 from plspines.partitions import discrete, one_vs_rest, single_class, vertex_partition
@@ -8,13 +11,16 @@ from plspines.recognize import classify_graph
 from plspines.spine import dual_spine
 from plspines.strata import (
     LinkClassificationError,
+    cell_components,
     stratum_components,
 )
 from helpers import (
+    cell_components_bfs,
     classify_link_lowdim,
     pair_component_poset,
     pair_components_two_rule,
     pi_boundary,
+    random_complex,
     spine_vertex_count_from_links,
     stratum_components_two_rule,
     union_of_spans,
@@ -185,3 +191,20 @@ class TestComponentRule:
                 k = union_of_spans(t, p)
                 got = list(pair_component_poset(t, k).components)
                 assert got == pair_components_two_rule(t, k), name
+
+
+class TestCellComponents:
+    # Fixed example sequence: the suite's data does not change between runs.
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_matches_breadth_first_oracle(self, seed):
+        # ids, their (label, least face) order and the step pairs, with int
+        # labels (the strata) and str labels (Stein's f')
+        rng = random.Random(seed)
+        faces = sorted(random_complex(rng).faces)
+        pool = rng.choice([(0, 1, 2), ("(b)", "(a,b)", "(a)")])[: rng.randint(1, 3)]
+        label = [rng.choice(pool) for _ in faces]
+        comp, steps = cell_components(faces, label)
+        assert (comp, steps) == cell_components_bfs(faces, label)
+        least = [comp.index(k) for k in range(max(comp) + 1)]
+        assert least == sorted(least, key=lambda v: (label[v], v))
