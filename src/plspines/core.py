@@ -355,6 +355,18 @@ def face_link(face: Face, cx: Complex) -> Complex:
     return Complex(frozenset(out))
 
 
+def vertex_links(faces: Iterable[Face], vertices: Iterable[str]) -> dict[str, Complex]:
+    """Link of each given vertex, in the order of ``vertices``, in the
+    complex with these faces: one pass over the faces, no coface table."""
+    links: dict[str, set[Face]] = {v: set() for v in vertices}
+    for f in faces:
+        if len(f) > 1:
+            for v in f:
+                if v in links:
+                    links[v].add(tuple(x for x in f if x != v))
+    return {v: Complex(frozenset(lk)) for v, lk in links.items()}
+
+
 def regular_neighborhood(sub: Complex, amb: Complex) -> Complex:
     """Star of the image of sub inside the second derived subdivision of amb.
 

@@ -14,7 +14,8 @@ builds T'''; only the spine and the locus are re-expressed.  At either
 level the frontier of the neighborhood is the link of the locus's image
 (proof at ``frontier_of``), so no coface table is built.  Off the
 spine's closed 1-skeleton the vertex count is preserved; the count of the
-result is recomputed from links (sound for ambient dimension at most 3).
+result is recomputed from links (sound for ambient dimension at most 3),
+the frontier vertices' links read in one pass by ``core.vertex_links``.
 """
 
 from __future__ import annotations
@@ -25,12 +26,12 @@ from functools import cached_property
 
 from plspines.core import (
     Complex,
-    Face,
     InvariantViolation,
     derived,
     derived_image,
     derived_star,
     subcomplex_spanned,
+    vertex_links,
 )
 from plspines.recognize import boundary_complex
 from plspines.spine import SpineComplex
@@ -166,17 +167,10 @@ def drill(ctx: DrillContext, k: Complex) -> DrillResult:
             for v, t in level.types.items()
             if t == 0 and (v,) not in rn.faces
         )
-        # links of the frontier vertices in one pass over the drilled faces
-        links: dict[str, set[Face]] = {v: set() for v in fr.vertices}
-        for f in faces:
-            if len(f) > 1:
-                for v in f:
-                    if v in links:
-                        links[v].add(tuple(x for x in f if x != v))
         inside = sum(
             1
-            for v in fr.vertices
-            if classify_point_link(Complex(frozenset(links[v])), d) == 0
+            for lk in vertex_links(faces, fr.vertices).values()
+            if classify_point_link(lk, d) == 0
         )
         after = outside + inside
     return DrillResult(

@@ -75,11 +75,6 @@ def single_class(base: Complex) -> VertexPartition:
     return vertex_partition(base, [list(base.vertices)])
 
 
-def one_vs_rest(base: Complex, label: str | None = None) -> VertexPartition:
-    verts = base.vertices
-    if label is None:
-        label = verts[0]
-    rest = [v for v in verts if v != label]
-    if not rest:
-        return vertex_partition(base, [[label]])
-    return vertex_partition(base, [[label], rest])
+def one_vs_rest(base: Complex) -> VertexPartition:
+    first, *rest = base.vertices
+    return vertex_partition(base, [[first], rest] if rest else [[first]])

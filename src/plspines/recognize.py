@@ -1,9 +1,10 @@
 """Euler characteristics, graph and low-dimensional manifold recognition.
 
-Manifold checks work by link recognition: two-point links in dimension 1,
-cycle links in dimension 2, and 2-sphere links in dimension 3.  Higher
-dimensions fall back to a weaker pure + pseudomanifold test.  The checks
-report False on non-manifold input instead of raising.
+Manifold recognition is one rule, recursive in the dimension: a closed
+d-manifold is a closed pseudomanifold whose vertex links, read in one
+pass by ``core.vertex_links``, are (d-1)-spheres; above dimension 3 the
+links are not checked.  The checks report False on non-manifold input
+instead of raising.
 """
 
 from __future__ import annotations
@@ -11,18 +12,17 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 
-from plspines.core import Complex, closure_faces, face_link, is_connected
+from plspines.core import Complex, closure_faces, is_connected, vertex_links
 
 
 def euler_characteristic(cx: Complex) -> int:
     return sum(1 if len(f) % 2 == 1 else -1 for f in cx.faces)
 
 
-def is_pure(cx: Complex, dim: int | None = None) -> bool:
+def is_pure(cx: Complex) -> bool:
     if cx.is_empty:
         return False
-    d = cx.dim if dim is None else dim
-    return all(len(f) == d + 1 for f in cx.facets)
+    return all(len(f) == cx.dim + 1 for f in cx.facets)
 
 
 def ridge_incidence(cx: Complex, d: int | None = None) -> Counter:
@@ -116,37 +116,23 @@ def classify_graph(g: Complex) -> str | None:
 # -- manifold recognition --------------------------------------------------
 
 
-def is_closed_curve(cx: Complex) -> bool:
-    return cx.dim == 1 and is_closed_pseudomanifold(cx)
-
-
-def is_closed_surface(cx: Complex) -> bool:
-    """Every edge in two triangles and every vertex link a single cycle."""
-    if cx.dim != 2 or not is_closed_pseudomanifold(cx):
-        return False
-    return all(classify_graph(face_link((v,), cx)) == "circle" for v in cx.vertices)
-
-
-def is_closed_3manifold(cx: Complex) -> bool:
-    """Pure, two tetrahedra per triangle, and every vertex link a 2-sphere."""
-    if cx.dim != 3 or not is_closed_pseudomanifold(cx):
-        return False
-    for v in cx.vertices:
-        lk = face_link((v,), cx)
-        if not (is_connected(lk) and euler_characteristic(lk) == 2 and is_closed_surface(lk)):
-            return False
-    return True
+def _is_sphere(cx: Complex, k: int) -> bool:
+    """Two points for k = 0; for k = 1, 2 a connected closed k-manifold,
+    with Euler characteristic 2 when k = 2."""
+    if k == 0:
+        return cx.dim == 0 and len(cx.faces) == 2
+    closed = cx.dim == k and is_connected(cx) and is_closed_manifold(cx)
+    return closed and (k == 1 or euler_characteristic(cx) == 2)
 
 
 def is_closed_manifold(cx: Complex) -> bool:
-    """Dimension-appropriate closed check; weaker pseudomanifold test above 3."""
+    """Nonempty for d = 0; for d >= 1 a closed pseudomanifold whose vertex
+    links are (d-1)-spheres, the links checked only up to d = 3."""
     d = cx.dim
     if d <= 0:
-        return not cx.is_empty and d == 0
-    if d == 1:
-        return is_closed_curve(cx)
-    if d == 2:
-        return is_closed_surface(cx)
-    if d == 3:
-        return is_closed_3manifold(cx)
-    return is_closed_pseudomanifold(cx)
+        return d == 0
+    if not is_closed_pseudomanifold(cx):
+        return False
+    if d > 3:
+        return True
+    return all(_is_sphere(lk, d - 1) for lk in vertex_links(cx.faces, cx.vertices).values())

@@ -47,8 +47,8 @@ def search_min_vertices(t: Complex, cap: int = 100_000, seed: int = 0) -> Search
     spans a point, which ``certify_class`` always accepts, so the discrete
     partition is always enumerated.
     """
-    if not is_closed_manifold(t):
-        raise ValueError("search requires a closed manifold triangulation")
+    if t.dim < 1 or not is_closed_manifold(t):
+        raise ValueError("search requires a closed manifold triangulation of dimension >= 1")
     verts = t.vertices
     n = len(verts)
     exhaustive = 1 << n <= cap

@@ -5,11 +5,11 @@ recognized by a closed-form rule on chains: a chain of faces of T is a
 spine cell exactly when its minimal face meets at least two partition
 classes, and its type is d + 1 minus that number of classes, both read in
 one pass over T' by ``assign_types``.  ``dual_spine`` checks the pair once
-(T pure, the partition respecting its boundary), so a ``SpineComplex`` is
-a checked spine and ``verify_spine`` takes it as is.  The tests check the
-rule against the literal union-of-links construction
-(``dual_cells_direct`` in ``tests/helpers.py``) and each cell's type
-against the link of its barycenter, classified by ``strata``.
+(T pure of dimension at least 1, the partition respecting its boundary),
+so a ``SpineComplex`` is a checked spine and ``verify_spine`` takes it as
+is.  The tests check the rule against the literal union-of-links
+construction (``dual_cells_direct`` in ``tests/helpers.py``) and each
+cell's type against the link of its barycenter, classified by ``strata``.
 
 A dual spine is a spine when each complement region is a ball (a collar
 where it meets the boundary).  A region component is a regular
@@ -37,7 +37,7 @@ from plspines.core import (
     subcomplex_spanned,
 )
 from plspines.partitions import VertexPartition
-from plspines.recognize import boundary_complex, euler_characteristic, is_pure
+from plspines.recognize import boundary_complex, euler_characteristic, is_closed_manifold, is_pure
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,8 +106,11 @@ def dual_spine(t: Complex, p: VertexPartition) -> SpineComplex:
     """Build the spine dual to (t, p) as a subcomplex of T', with the type
     of every cell.
 
-    Requires t pure; when t has boundary the partition must respect it.
+    Requires t pure of dimension at least 1 (in dimension 0 no cell meets
+    two classes); when t has boundary the partition must respect it.
     """
+    if t.dim < 1:
+        raise ValueError(f"dual spines need dimension at least 1, got {t.dim}")
     if not is_pure(t):
         raise ValueError("triangulation is not pure")
     if p.base.faces != t.faces:
@@ -210,7 +213,9 @@ def verify_spine(s: SpineComplex, seed: int = 0) -> SpineCertificate:
     """Certify the spine by its complement: one ``certify_span_component``
     report per class and span component.  Balls are sound for dimension
     at most 3 ("yes (heuristic)" above); a failed collapse yields
-    "unknown", never "not a spine".
+    "unknown", never "not a spine".  Closed input must pass
+    ``is_closed_manifold`` too: in a pseudomanifold a collapsible region
+    need not be a ball.  Input with a boundary gets no manifold check.
     """
     t = s.ambient
     bd = boundary_complex(t)
@@ -219,6 +224,6 @@ def verify_spine(s: SpineComplex, seed: int = 0) -> SpineCertificate:
         for ci, cls in enumerate(s.partition.classes)
         for ki, comp in enumerate(connected_components(subcomplex_spanned(t, cls)))
     )
-    ok = all(r.ok for r in reports)
+    ok = all(r.ok for r in reports) and (not bd.is_empty or is_closed_manifold(t))
     cert = ("yes" if t.dim <= 3 else "yes (heuristic)") if ok else "unknown"
     return SpineCertificate(cert, s.vertex_count, reports)

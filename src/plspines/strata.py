@@ -24,7 +24,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Hashable, Sequence
 
-from plspines.core import Complex, Face, _UnionFind, face_link
+from plspines.core import Complex, Face, _UnionFind, vertex_links
 from plspines.recognize import classify_graph
 from plspines.spine import SpineComplex, assign_types  # noqa: F401  (re-export)
 
@@ -62,10 +62,8 @@ def classify_point_link(link: Complex, ambient_dim: int) -> int:
 
 def classify_all_links(cx: Complex, ambient_dim: int) -> dict[str, int]:
     """Type of every vertex of a simple complex, via link classification."""
-    out = {}
-    for v in cx.vertices:
-        out[v] = classify_point_link(face_link((v,), cx), ambient_dim)
-    return out
+    links = vertex_links(cx.faces, cx.vertices)
+    return {v: classify_point_link(lk, ambient_dim) for v, lk in links.items()}
 
 
 # -- stratum components ------------------------------------------------------

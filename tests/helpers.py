@@ -53,9 +53,8 @@ from plspines.nerve import (
 from plspines.partitions import VertexPartition, vertex_partition
 from plspines.recognize import (
     classify_graph,
-    is_closed_curve,
+    euler_characteristic,
     is_closed_pseudomanifold,
-    is_closed_surface,
     is_pure,
     ridge_incidence,
 )
@@ -319,6 +318,39 @@ def is_arc(g: Complex) -> bool:
         and ends[-1] <= 2
         and sum(1 for d in deg.values() if d == 1) == 2
     )
+
+
+# -- per-dimension manifold checks, the oracle for is_closed_manifold -------
+
+
+def is_closed_curve(cx: Complex) -> bool:
+    return cx.dim == 1 and is_closed_pseudomanifold(cx)
+
+
+def is_closed_surface(cx: Complex) -> bool:
+    """Every edge in two triangles and every vertex link a single cycle."""
+    if cx.dim != 2 or not is_closed_pseudomanifold(cx):
+        return False
+    return all(classify_graph(face_link((v,), cx)) == "circle" for v in cx.vertices)
+
+
+def is_closed_3manifold(cx: Complex) -> bool:
+    """Pure, two tetrahedra per triangle, and every vertex link a 2-sphere."""
+    if cx.dim != 3 or not is_closed_pseudomanifold(cx):
+        return False
+    for v in cx.vertices:
+        lk = face_link((v,), cx)
+        if not (is_connected(lk) and euler_characteristic(lk) == 2 and is_closed_surface(lk)):
+            return False
+    return True
+
+
+def wedge_of_tetra_boundaries() -> Complex:
+    """Two boundaries of the tetrahedron sharing the vertex v0: a closed
+    2-pseudomanifold, not a manifold, as the link of v0 is two circles."""
+    bd = boundary_sphere(2)
+    copy = [[v if v == "v0" else v + "'" for v in f] for f in bd.facets]
+    return from_facets(list(bd.facets) + copy)
 
 
 def is_surface_with_boundary(cx: Complex) -> bool:

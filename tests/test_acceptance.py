@@ -15,11 +15,12 @@ from plspines.homology import betti, enumerate_normal_discs
 from plspines.models import boundary_sphere, named_triangulation
 from plspines.nerve import nerve, nerve_checks, stein
 from plspines.partitions import discrete, one_vs_rest, vertex_partition
-from plspines.recognize import is_closed_curve, is_closed_pseudomanifold
+from plspines.recognize import is_closed_pseudomanifold
 from plspines.search import search_min_vertices
 from plspines.spine import dual_spine, verify_spine
 from helpers import (
     hypersurface_from_class,
+    is_closed_curve,
     nerve_of_pair,
     pi_boundary,
     rainbow_top_chain_count,

@@ -16,6 +16,7 @@ from plspines.cli import main
 from plspines.core import InvariantViolation
 from plspines.io import format_complex
 from plspines.models import named_triangulation
+from helpers import wedge_of_tetra_boundaries
 
 
 @pytest.fixture()
@@ -235,6 +236,23 @@ class TestExitCodes:
         assert res.exit_code == 0
         assert "nerve-0or2: n/a (boundary)\n" in res.stdout
 
+    def test_closed_non_manifold_exits_2(self, runner, tmp_path):
+        # every region collapses, yet the wedge is not a manifold: no "yes"
+        path = tmp_path / "wedge.cplx"
+        path.write_text(format_complex(wedge_of_tetra_boundaries()))
+        res = runner.invoke(main, ["report", "--in", str(path)])
+        assert res.exit_code == 2
+        assert "certificate: unknown\n" in res.stdout
+
+    @pytest.mark.parametrize("cmd", sorted([*PAIR_COMMANDS, "search"]))
+    def test_dimension_0_exits_1(self, runner, cmd):
+        # two points: valid input, but no dual spine and no search
+        args = [cmd] if cmd == "search" else [cmd, "--partition", "discrete"]
+        res = runner.invoke(main, args, input="dim 0\na\nb\n")
+        assert res.exit_code == 1
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: ")
+
     @pytest.mark.parametrize("cmd", ["gen", "search"])
     def test_unwritable_out_exits_1(self, tmp_path, cmd):
         out = subprocess.run(
@@ -318,7 +336,7 @@ class TestFiles:
         ])
         assert res.exit_code == 0
         from plspines import io as pio
-        from plspines.recognize import is_closed_curve
+        from helpers import is_closed_curve
 
         spine = pio.parse_complex(spine_path.read_text())
         assert is_closed_curve(spine)

@@ -247,7 +247,7 @@ class TestJoinConeSuspension:
         assert collapses_to_point(c)
 
     def test_suspension_of_sphere_boundary(self):
-        from plspines.recognize import is_closed_surface
+        from helpers import is_closed_surface
 
         s = suspension(boundary_sphere(1))
         assert is_closed_surface(s)

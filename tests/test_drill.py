@@ -53,7 +53,7 @@ def equator_ctx(sphere2, equator_partition):
 
 class TestDrillSurface:
     def test_off_spine_point_adds_circle(self, equator_ctx):
-        from plspines.recognize import is_closed_curve
+        from helpers import is_closed_curve
 
         res = drill(equator_ctx, Complex(frozenset({("(v0)",)})))
         assert res.vertices_before == 0

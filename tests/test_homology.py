@@ -16,12 +16,14 @@ from plspines.homology import (
     gf2_rank,
 )
 from plspines.collapse import collapses_to_point
-from plspines.recognize import is_closed_curve, is_closed_pseudomanifold, is_closed_surface
+from plspines.recognize import is_closed_pseudomanifold
 from helpers import (
     disc_boundary,
     from_dense,
     gf2_row_reduce,
     hypersurface_from_class,
+    is_closed_curve,
+    is_closed_surface,
     pi_boundary,
     random_complex,
     to_dense,

@@ -10,8 +10,8 @@ from plspines.models import (
     simplex,
 )
 from plspines.partitions import vertex_partition
-from plspines.recognize import classify_graph, euler_characteristic, is_closed_curve
-from helpers import isomorphic, pi_boundary, random_partition_blocks
+from plspines.recognize import classify_graph, euler_characteristic
+from helpers import is_closed_curve, isomorphic, pi_boundary, random_partition_blocks
 
 
 class TestGenerators:

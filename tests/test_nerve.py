@@ -29,12 +29,12 @@ from plspines.nerve import (
     stein,
 )
 from plspines.partitions import discrete, one_vs_rest, single_class
-from plspines.recognize import is_closed_curve
 from plspines.search import search_min_vertices
 from plspines.spine import dual_spine, vertex_count
 from plspines.strata import stratum_components
 from helpers import (
     is_arc,
+    is_closed_curve,
     isomorphic,
     nerve_of_pair,
     pair_component_poset,

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from plspines.collapse import collapses_to_point
-from plspines.core import derived, from_facets, join
+from plspines.core import derived, from_facets, join, suspension
 from plspines.models import CATALOGUE, boundary_sphere, catalogue_names, named_triangulation, simplex
 from plspines.partitions import discrete, one_vs_rest, single_class, vertex_partition
 from plspines.recognize import euler_characteristic
@@ -25,6 +25,7 @@ from helpers import (
     spine_neighborhood,
     unchecked_spine,
     validate_complex,
+    wedge_of_tetra_boundaries,
 )
 from test_acceptance import catalogue_spine_family
 
@@ -38,7 +39,7 @@ class TestDualSpine:
     def test_equator(self, sphere2, equator_partition):
         s = dual_spine(sphere2, equator_partition)
         assert s.vertex_count == 0
-        from plspines.recognize import is_closed_curve
+        from helpers import is_closed_curve
 
         assert is_closed_curve(s.as_complex())
 
@@ -201,6 +202,18 @@ class TestVerifySpine:
         assert cls == frozenset("abc")
         assert collar.faces == len(region.faces)
         assert ball.faces == 1
+
+    @pytest.mark.parametrize("build", [
+        pytest.param(wedge_of_tetra_boundaries, id="wedge"),
+        pytest.param(lambda: suspension(named_triangulation("T2_7")), id="suspension-T2_7"),
+    ])
+    def test_closed_non_manifold_unknown(self, build):
+        # every region collapses, but in a closed pseudomanifold that is
+        # not a manifold a collapsible region need not be a ball
+        t = build()
+        cert = verify_spine(dual_spine(t, discrete(t)))
+        assert all(r.ok for r in cert.region_reports)
+        assert cert.certificate == "unknown"
 
     @pytest.mark.parametrize("name,partition", [("T2_7", discrete), ("S3_pentachoron", one_vs_rest)])
     def test_collapsible_spans_build_no_region(self, monkeypatch, name, partition):
