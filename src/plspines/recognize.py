@@ -20,9 +20,10 @@ def euler_characteristic(cx: Complex) -> int:
 
 
 def is_pure(cx: Complex) -> bool:
+    """Nonempty, and every face lies in a top-dimensional face."""
     if cx.is_empty:
         return False
-    return all(len(f) == cx.dim + 1 for f in cx.facets)
+    return closure_faces(f for f in cx.faces if len(f) == cx.dim + 1) == cx.faces
 
 
 def ridge_incidence(cx: Complex, d: int | None = None) -> Counter:

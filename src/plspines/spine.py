@@ -15,7 +15,7 @@ A dual spine is a spine when each complement region is a ball (a collar
 where it meets the boundary).  A region component is a regular
 neighbourhood of a span component of its class, and
 ``certify_span_component`` certifies it on that span where it can; both
-``certify_class`` (one class, for search) and ``verify_spine`` go through it.
+``verify_spine`` and ``search`` (one span component at a time) go through it.
 """
 
 from __future__ import annotations
@@ -198,15 +198,6 @@ def certify_span_component(
             return "ball", True, len(comp.faces)
     region = region_of_class(t, frozenset(comp.vertices))
     return certify_region_component(region, boundary_in_t2(t), seed=seed)
-
-
-def certify_class(t: Complex, cls: frozenset[str], seed: int = 0) -> bool:
-    """Ball certificate for the region of one class of a closed manifold,
-    span component by span component, every Euler characteristic first."""
-    comps = connected_components(subcomplex_spanned(t, cls))
-    if any(euler_characteristic(c) != 1 for c in comps):
-        return False
-    return all(certify_span_component(t, c, EMPTY, seed=seed)[1] for c in comps)
 
 
 def verify_spine(s: SpineComplex, seed: int = 0) -> SpineCertificate:

@@ -15,6 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from plspines.core import (
+    EMPTY,
     Complex,
     DerivedComplex,
     Face,
@@ -33,6 +34,7 @@ from plspines.core import (
     link,
     proper_subfaces,
     star,
+    subcomplex_spanned,
 )
 from plspines.drill import DrillContext, drill
 from plspines.homology import (
@@ -58,7 +60,14 @@ from plspines.recognize import (
     is_pure,
     ridge_incidence,
 )
-from plspines.spine import SpineComplex, assign_types, dual_spine, region_of_class, vertex_count
+from plspines.spine import (
+    SpineComplex,
+    assign_types,
+    certify_span_component,
+    dual_spine,
+    region_of_class,
+    vertex_count,
+)
 from plspines.strata import (
     LinkClassificationError,
     StratumComponent,
@@ -135,6 +144,53 @@ def set_partitions(items: tuple[str, ...]):
         blocks.pop()
 
     yield from rec(0, [])
+
+
+def is_pure_by_facets(cx: Complex) -> bool:
+    """The purity oracle: every inclusion-maximal face has the top dimension."""
+    if cx.is_empty:
+        return False
+    return all(len(f) == cx.dim + 1 for f in cx.facets)
+
+
+def certify_class(t: Complex, cls: frozenset[str], seed: int = 0) -> bool:
+    """Ball certificate for the region of one class of a closed manifold,
+    span component by span component, every Euler characteristic first."""
+    comps = connected_components(subcomplex_spanned(t, cls))
+    if any(euler_characteristic(c) != 1 for c in comps):
+        return False
+    return all(certify_span_component(t, c, EMPTY, seed=seed)[1] for c in comps)
+
+
+def class_first_search(t: Complex, cap: int = 100_000, seed: int = 0) -> tuple[int, tuple, bool]:
+    """The search oracle: ``(best_count, canonical_key, proven_exhaustive)``
+    from every class through ``certify_class`` and every partition of the
+    certified classes, with no bound."""
+    verts = t.vertices
+    n = len(verts)
+    exhaustive = 1 << n <= cap
+    bit = {v: 1 << i for i, v in enumerate(verts)}
+    facet_masks = [sum(bit[v] for v in f) for f in t.facets]
+
+    # certified classes by their lowest vertex: (mask, labels, marked facets)
+    by_low: list[list[tuple[int, tuple[str, ...], int]]] = [[] for _ in range(n)]
+    for m in range(1, 1 << n) if exhaustive else (1 << i for i in range(n)):
+        labels = tuple(v for v in verts if m & bit[v])
+        if certify_class(t, frozenset(labels), seed=seed):
+            marked = sum(1 << j for j, fm in enumerate(facet_masks) if (fm & m).bit_count() >= 2)
+            by_low[(m & -m).bit_length() - 1].append((m, labels, marked))
+
+    def partitions(rest: int, marked: int, key: tuple):
+        # vertices are sorted, so classes come out in canonical order
+        if not rest:
+            yield len(facet_masks) - marked.bit_count(), key
+            return
+        for m, labels, k in by_low[(rest & -rest).bit_length() - 1]:
+            if m & rest == m:
+                yield from partitions(rest ^ m, marked | k, key + (labels,))
+
+    count, key = min(partitions((1 << n) - 1, 0, ()))
+    return count, key, exhaustive
 
 
 def region_certified(t: Complex, cls) -> bool:

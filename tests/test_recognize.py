@@ -16,6 +16,7 @@ from helpers import (
     is_closed_3manifold,
     is_closed_curve,
     is_closed_surface,
+    is_pure_by_facets,
     is_surface_with_boundary,
     random_complex,
     random_pure_complex,
@@ -117,3 +118,15 @@ def test_recursion_matches_per_dimension_checks(seed):
     assert list(links) == list(cx.vertices)
     for v in cx.vertices:
         assert links[v] == face_link((v,), cx)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_purity_by_closure_matches_facets(seed):
+    rng = random.Random(seed)
+    if rng.randrange(2):
+        cx = random_complex(rng)
+    else:
+        d = rng.randint(1, 3)
+        cx = random_pure_complex(rng, d, rng.randint(d + 1, 8), rng.randint(1, 12))
+    assert is_pure(cx) == is_pure_by_facets(cx)

@@ -1,12 +1,26 @@
 import functools
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from plspines.models import boundary_sphere, named_triangulation
+from plspines.core import connected_components, derived, subcomplex_spanned
+from plspines.models import CATALOGUE, boundary_sphere, catalogue_names, named_triangulation
 from plspines.partitions import discrete, vertex_partition
-from plspines.search import search_min_vertices
+from plspines.recognize import euler_characteristic
+from plspines.search import (
+    certified_classes,
+    search_min_vertices,
+    skeleton_masks,
+    span_components,
+    span_euler_characteristic,
+)
 from plspines.spine import vertex_count
-from helpers import region_certified, set_partitions
+from helpers import certify_class, class_first_search, region_certified, set_partitions
+
+CLOSED = [name for name, kind in CATALOGUE.items() if kind.startswith("closed")]
+SPHERES = {f"boundary_sphere({d})": d for d in (2, 3)}
 
 
 def test_set_partitions_count():
@@ -68,3 +82,46 @@ def test_above_cap_returns_discrete(name):
     assert res.best_partition == discrete(t)
     assert res.best_count == len(t.facets)
     assert res.partitions_examined == 1
+
+
+@pytest.mark.parametrize(
+    "name, cap",
+    [(name, 100_000) for name in CLOSED + list(SPHERES)] + [("T2_7", 1), ("T2_7", 2**7)],
+)
+def test_bounded_search_equals_unbounded(name, cap):
+    t = boundary_sphere(SPHERES[name]) if name in SPHERES else named_triangulation(name)
+    res = search_min_vertices(t, cap=cap)
+    got = (res.best_count, res.best_partition.canonical_key(), res.proven_exhaustive)
+    assert got == class_first_search(t, cap=cap)
+
+
+@pytest.mark.parametrize("name", ["T2_7", "RP2_6", "genus2_10", "S3_pentachoron"])
+def test_certified_classes_equal_certify_class(name):
+    t = named_triangulation(name)
+    verts = t.vertices
+    every = range(1, 1 << len(verts))
+    expected = [
+        m for m in every if certify_class(t, frozenset(v for i, v in enumerate(verts) if m >> i & 1))
+    ]
+    assert certified_classes(t, every) == expected
+
+
+# Fixed example sequence: the suite's data does not change between runs.
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_mask_components_and_chi_equal_span_components(seed):
+    rng = random.Random(seed)
+    t = named_triangulation(rng.choice(catalogue_names()))
+    if rng.randrange(2):
+        t = derived(t).complex
+    verts = t.vertices
+    m = rng.getrandbits(len(verts))
+    adjacency, signed = skeleton_masks(t)
+    span = subcomplex_spanned(t, (v for i, v in enumerate(verts) if m >> i & 1))
+    comps = connected_components(span)
+    mask = lambda cx: sum(1 << verts.index(v) for v in cx.vertices)  # noqa: E731
+    assert span_components(adjacency, m) == [mask(c) for c in comps]
+    assert [span_euler_characteristic(signed, mask(c)) for c in comps] == [
+        euler_characteristic(c) for c in comps
+    ]
+    assert span_euler_characteristic(signed, m) == euler_characteristic(span)

@@ -10,12 +10,12 @@ from plspines.partitions import discrete, one_vs_rest, single_class, vertex_part
 from plspines.recognize import euler_characteristic
 from plspines import spine
 from plspines.spine import (
-    certify_class,
     dual_spine,
     vertex_count,
     verify_spine,
 )
 from helpers import (
+    certify_class,
     dual_cells_direct,
     random_partition_blocks,
     random_pure_complex,
