@@ -6,28 +6,31 @@ components given to ``nerve_of_poset``).  The pre-nerve is the order
 complex of the component poset under closure inclusion.  The pre-nerve map
 sends each barycenter of a T'-face, i.e. each vertex of T'', to the
 component holding that face's interior; the nerve is the Stein middle of
-the derived map T''' -> (pre-nerve)'.  Stein runs on the face poset of the
-source, T'' here: the vertices of T''' are the faces of T'' and its faces
-are their chains, so fibers and middle are read off T'' and T''' is not
-built.  The middle is the order complex of the fiber components, ordered
-by "a face of A lies in a face of B", and ``core.chains`` lists it as it
-lists the pre-nerve.  One ``strata.cell_components`` walk over the
-codim-1 subfaces of T'' gives both the fiber components and the steps
-that order them.  Inside ``stein`` faces are int ids in tuple order and
-middle vertices int ids in label order; h is returned as ids, and labels
-return only in the middle and in g (proofs at ``stein``).
+the derived map T''' -> (pre-nerve)'.  Stein reads fibers, names and
+order off the source faces that f maps injectively and those with one
+collision (fact 5 at ``stein``).  For the pre-nerve map these are the
+chains of T' faces whose components are pairwise distinct or have one
+adjacent equal pair, walked up the coface lists of T' (``PrenerveMap``),
+so neither T'' nor T''' is built.  The middle is the order complex of the
+fiber components, ordered by "a face of A lies in a face of B", and
+``core.chains`` lists it as it lists the pre-nerve.  Inside ``stein``
+faces are sorted tuples of int vertex ids and middle vertices int ids in
+label order; labels return only in the middle and in g.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from functools import cached_property
+from typing import Mapping, Sequence, Union
 
 from plspines.core import (
     Complex,
     Face,
     InvariantViolation,
     SimplicialMap,
+    _UnionFind,
     chains,
     closure_faces,
     derived,
@@ -35,7 +38,12 @@ from plspines.core import (
 )
 from plspines.recognize import ridge_incidence
 from plspines.spine import SpineComplex
-from plspines.strata import StratumComponent, cell_components, stratum_components
+from plspines.strata import StratumComponent, stratum_components
+
+# A source face is the sorted tuple of its vertex ids.  Transversals are the
+# f-injective faces and the swaps, pairs of them joined through a face with
+# one collision (fact 5 at ``stein``).
+Transversals = tuple[list[tuple[int, ...]], list[tuple[tuple[int, ...], tuple[int, ...]]]]
 
 
 # -- Stein factorization -----------------------------------------------------
@@ -45,29 +53,122 @@ from plspines.strata import StratumComponent, cell_components, stratum_component
 class SteinFactorization:
     """f' = g o h with h having connected fibers and g finite-to-one.
 
-    Neither map is built.  ``h`` holds one middle-vertex id per face of
-    ``sorted(source.faces)``; id i is the i-th of ``sorted(middle.vertices)``.
-    ``g_assignment`` maps middle vertices to vertices of the derived target.
+    Neither map is built.  ``g_assignment`` maps middle vertices to
+    vertices of the derived target.  ``source`` and ``h`` are built on
+    read, as only tests read them: ``h`` holds one middle-vertex id per
+    face of ``sorted(source.faces)``, and id i is the i-th of
+    ``sorted(middle.vertices)``.
     """
 
-    source: Complex  # source of f; h starts at its derived complex
-    target: Complex  # target of f; g ends at its derived complex
-    h: tuple[int, ...]
+    f: Union[SimplicialMap, PrenerveMap]
     g_assignment: Mapping[str, str]
     middle: Complex
 
+    @property
+    def target(self) -> Complex:
+        """Target of f; g ends at its derived complex."""
+        return self.f.target
 
-def stein(f: SimplicialMap) -> SteinFactorization:
+    @property
+    def source(self) -> Complex:
+        """Source of f; h starts at its derived complex."""
+        return self.f.source
+
+    @cached_property
+    def h(self) -> tuple[int, ...]:
+        # h of a face is h of its transversals (fact 5 at ``stein``)
+        vertices, image, fid, comp = _fibers(self.f)[:4]
+        vid = {v: i for i, v in enumerate(vertices)}
+        out = []
+        for s in sorted(self.source.faces):
+            pick: dict[int, int] = {}
+            for v in s:
+                pick.setdefault(image[vid[v]], vid[v])
+            out.append(comp[fid[tuple(sorted(pick.values()))]])
+        return tuple(out)
+
+
+def _scan(f: SimplicialMap) -> tuple[Sequence[str], list[int], Transversals]:
+    """One scan of the source faces of a general map: its vertex labels in
+    id order, each vertex's target vertex id, and its transversals."""
+    vertices = f.source.vertices
+    vid = {v: i for i, v in enumerate(vertices)}
+    tid = {w: i for i, w in enumerate(f.target.vertices)}
+    image = [tid[f.assignment[v]] for v in vertices]
+    inj, swaps = [], []
+    for s in f.source.faces:
+        c = tuple(vid[v] for v in s)
+        pick: dict[int, int] = {}  # target vertex -> first vertex over it
+        hits = []
+        for v in c:
+            u = pick.setdefault(image[v], v)
+            if u != v:
+                hits.append((u, v))
+        if not hits:
+            inj.append(c)
+        elif len(hits) == 1:
+            (u, v), = hits
+            swaps.append((tuple(x for x in c if x != u), tuple(x for x in c if x != v)))
+    return vertices, image, (inj, swaps)
+
+
+def _fibers(f: Union[SimplicialMap, PrenerveMap]):
+    """The fiber components of f' on the f-injective faces (fact 5).
+
+    Returns the source vertex labels in id order, each vertex's target
+    vertex id (an index into ``f.target.vertices``), the f-injective faces
+    numbered 0, 1, ..., each one's middle-vertex id, the middle labels in
+    id order, and each middle vertex's g-image.
+    """
+    if isinstance(f, PrenerveMap):
+        vertices, image, (inj, swaps) = f.vertices, f.image, f.transversals()
+    else:
+        vertices, image, (inj, swaps) = _scan(f)
+    fid = {c: i for i, c in enumerate(inj)}
+    uf = _UnionFind(range(len(inj)))
+    for a, b in swaps:
+        uf.union(fid[a], fid[b])
+    del swaps
+    root = [uf.find(i) for i in range(len(inj))]
+    del uf
+    least: dict[int, tuple[int, ...]] = {}  # component root -> its least face
+    for c, r in zip(inj, root):
+        if r not in least or c < least[r]:
+            least[r] = c
+    fw = {r: sorted(image[v] for v in c) for r, c in least.items()}
+    for c, r in zip(inj, root):
+        if sorted(image[v] for v in c) != fw[r]:
+            raise InvariantViolation("Stein factorization does not compose to f'")
+    tv = f.target.vertices
+    tlabel = derived_labels(f.target.faces)
+    w = {r: tlabel[tuple(tv[x] for x in fw[r])] for r in least}
+    del fw
+    reps = sorted(least, key=lambda r: (w[r], least[r]))
+    names: list[str] = []
+    first: dict[str, int] = {}  # w -> its first component; those over w are consecutive
+    for k, r in enumerate(reps):
+        names.append(f"{w[r]}/{k - first.setdefault(w[r], k)}")
+    order = sorted(range(len(reps)), key=names.__getitem__)
+    mid = {reps[k]: m for m, k in enumerate(order)}
+    comp = [mid[r] for r in root]
+    return vertices, image, fid, comp, [names[k] for k in order], [w[reps[k]] for k in order]
+
+
+def stein(f: Union[SimplicialMap, PrenerveMap]) -> SteinFactorization:
     """Stein factorization of the derived map f' of f, read off the face
     posets of source and target without building either derived complex.
 
+    f is a ``SimplicialMap`` or the pre-nerve map as a ``PrenerveMap``.
     The vertices of the derived source are the faces s of the source,
     labelled ``derived_vertex_label(s)``, its faces are the chains of
     faces, and f' sends (s) to (f(s)).  Middle vertices are the connected
     components of the fibers of f', labelled ``w/i`` for the i-th
-    component over w in order of least face in tuple order, the order
-    ``strata.cell_components`` lists them in; middle faces are the
-    h-images of chains.  Four facts:
+    component over w in order of least f-injective face (fact 5) in tuple
+    order; middle faces are the h-images of chains.  The least face of a
+    component need not be f-injective: with facets abc and ad, f(a) = f(b),
+    f(c) = f(d) and b < d < c, the components of abc and of ad over f(ac)
+    come in one order by least face (abc < ad) and in the other by least
+    f-injective face (ad < ac).  Five facts:
 
     1. Fibers.  If s < t and f(s) = f(t), every face between them has
        that image too, since images are monotone: f(s) <= f(r) <= f(t).
@@ -90,49 +191,62 @@ def stein(f: SimplicialMap) -> SteinFactorization:
        with h-image exactly {A0, ..., Ak}.  So the middle is the order
        complex of <=, and ``chains`` lists it.  The image grows strictly
        along <=, so the closure is taken from the largest images down.
-    4. Maps.  f was validated when it was built, so f' is simplicial.
-       g o h = f' is checked on every vertex.  Every middle face is h(c)
-       for a chain c, so g(h(c)) = f'(c) is a face: g is simplicial, and
-       no map is validated face by face here.
+    4. Maps.  f was checked simplicial when it was built, so f' is
+       simplicial.  g o h = f' is checked on every f-injective face and
+       holds on the others through their transversals (fact 5).  Every
+       middle face is h(c) for a chain c, so g(h(c)) = f'(c) is a face: g
+       is simplicial, and no map is validated face by face here.
+    5. Transversals.  Call a face f-injective when f is injective on its
+       vertices.  A transversal of t picks one vertex of t over each
+       vertex of f(t): an f-injective face with image f(t).
+       a. Every fiber component holds an f-injective face.  From any t in
+          it drop a vertex whose image is hit twice: the image stays, so
+          by fact 1 the smaller face is in the same component.  Repeat.
+       b. Two f-injective faces lie in one fiber component exactly when
+          swaps join them.  A swap goes from x + v to x + v' with
+          f(v) = f(v') through the face x + v + v', whose one collision
+          is that pair: two codim-1 steps of equal image.  Conversely,
+          two transversals of t are joined by swaps inside t, changing
+          one pick at a time.  If s < t have equal image, a transversal
+          of s is one of t.  So along a path of codim-1 steps of equal
+          image (fact 1) neighbours share a transversal, and the
+          transversals of its two ends are joined by swaps.
+       c. <= is the transitive closure of the pairs (h(s - v), h(s)) for
+          f-injective s.  Each is a codim-1 step of unequal image.  A
+          codim-1 step s < s + x of unequal image has f(x) outside f(s);
+          for a transversal r of s, r + x is f-injective and a transversal
+          of s + x, so by (b) the step r < r + x joins the same two
+          components.  Fact 2 ends the proof.
+       So fibers, names, g and the order come from the f-injective faces
+       and the swaps alone, and h of any face is h of its transversals.
 
-    Source faces are int ids in tuple order.  ``strata.cell_components``
-    labels them by f' and, in one walk over codim-1 subfaces, returns the
-    fiber components (fact 1) in (w, least face) order, so the components
-    over w are consecutive and the i-th of them is ``w/i``, and the pairs
-    of components one codim-1 step apart, which generate <= (fact 2).
-    ``h`` is returned as middle-vertex ids, numbered in ``w/i`` order.
+    Source vertices are int ids in label order, so a face is the sorted
+    tuple of its ids and tuple order is the source's face order.  A
+    ``SimplicialMap`` gives its f-injective faces and swaps by one scan of
+    ``f.source.faces``; a ``PrenerveMap`` walks them up the cofaces of T'.
+    ``core._UnionFind`` unions the swaps over the f-injective faces, and
+    the drops of (c) give the order.
     """
-    src = f.source
-    tlabel = derived_labels(f.target.faces)
-    faces = sorted(src.faces)
-    a = [tlabel[f.image(s)] for s in faces]  # f'
-    # per-face scaffolding is deleted once used: the middle, built last,
-    # would otherwise be allocated on top of it
-    comp, steps = cell_components(faces, a)
-    least: dict[int, int] = {}  # fiber component -> its least face
-    for v, k in enumerate(comp):
-        least.setdefault(k, v)
-    g = [a[least[k]] for k in range(len(least))]
-    for k, w in zip(comp, a):
-        if g[k] != w:
-            raise InvariantViolation("Stein factorization does not compose to f'")
-    names: list[str] = []
-    first: dict[str, int] = {}  # w -> its first component; those over w are consecutive
-    for k, w in enumerate(g):
-        names.append(f"{w}/{k - first.setdefault(w, k)}")
-    mid = {k: m for m, k in enumerate(sorted(range(len(names)), key=names.__getitem__))}
-    h = tuple(mid[k] for k in comp)
-    del comp
+    vertices, image, fid, comp, names, g = _fibers(f)
+    del vertices, image
+    size = [0] * len(names)  # each middle vertex's image size
+    steps: set[tuple[int, int]] = set()
+    for c, k in zip(fid, comp):
+        size[k] = len(c)
+        if len(c) > 1:
+            for p in range(len(c)):
+                steps.add((comp[fid[c[:p] + c[p + 1:]]], k))
+    del fid, comp
 
-    # the order: codim-1 steps between components, closed from the top down
+    # the order: the drop steps between components, closed from the top down
     above: list[set[int]] = [set() for _ in names]
     for x, y in steps:
         above[x].add(y)
     del steps
-    for k in sorted(range(len(names)), key=lambda k: len(f.image(faces[least[k]])), reverse=True):
+    for k in sorted(range(len(names)), key=size.__getitem__, reverse=True):
         above[k] |= {c for b in above[k] for c in above[b]}
     middle = Complex(frozenset(chains(above, names, range(len(names)))))
-    return SteinFactorization(src, f.target, h, dict(sorted(zip(names, g))), middle)
+    return SteinFactorization(f, dict(sorted(zip(names, g))), middle)
 
 
 # -- component posets ---------------------------------------------------------
@@ -181,6 +295,60 @@ def order_complex(poset: ComponentPoset) -> Complex:
 
 
 @dataclass(frozen=True, eq=False)
+class PrenerveMap:
+    """The pre-nerve map T'' -> pre-nerve on int ids, T'' not built.
+
+    Vertex i of T'' is a T' face, labelled ``vertices[i]``, with ids in
+    label order; it goes to target vertex ``image[i]``, an index into
+    ``target.vertices``, and ``above[i]`` lists the ids of its proper
+    cofaces in T'.  ``source``, T'' itself, is built on read.
+    """
+
+    base: Complex  # T'
+    target: Complex  # the pre-nerve
+    vertices: tuple[str, ...]
+    image: list[int]
+    above: list[list[int]]
+
+    @property
+    def source(self) -> Complex:
+        return derived(self.base).complex
+
+    def transversals(self) -> Transversals:
+        """The chains of T' faces with pairwise distinct images, and the
+        swaps of those with one adjacent equal pair, walked upward.
+
+        The map is monotone (``_prenerve_map``) and closure inclusion is
+        antisymmetric, so equal images on a chain are adjacent: an
+        f-injective chain is one with no adjacent equal pair, and a chain
+        with one collision has exactly one.  A chain with two is never
+        extended, since every chain above it has two as well.
+        """
+        image, above = self.image, self.above
+        inj, swaps = [], []
+        for i in range(len(above)):
+            # (chain as sorted ids, its top, the equal pair or -1, -1)
+            stack = [((i,), i, -1, -1)]
+            while stack:
+                c, top, a, b = stack.pop()
+                if a < 0:
+                    inj.append(c)
+                else:
+                    pa, pb = c.index(a), c.index(b)
+                    swaps.append((c[:pa] + c[pa + 1:], c[:pb] + c[pb + 1:]))
+                for j in above[top]:
+                    if image[j] != image[top]:
+                        pair = (a, b)
+                    elif a < 0:
+                        pair = (top, j)
+                    else:
+                        continue  # a second collision
+                    p = bisect(c, j)
+                    stack.append((c[:p] + (j,) + c[p:], j, *pair))
+        return inj, swaps
+
+
+@dataclass(frozen=True, eq=False)
 class NervePair:
     """The pre-nerve, the component poset it is the order complex of, and
     the nerve: the middle of the Stein factorization ``stein``."""
@@ -191,16 +359,46 @@ class NervePair:
     stein: SteinFactorization
 
 
-def _prenerve_map(t: Complex, poset: ComponentPoset) -> SimplicialMap:
-    """T'' -> prenerve, sending a barycenter of a T'-face to its component."""
-    dt = derived(t)
-    dtt = derived(dt.complex)
+def _prenerve_map(t: Complex, poset: ComponentPoset) -> PrenerveMap:
+    """T'' -> prenerve, sending a barycenter of a T'-face to its component,
+    checked monotone on the incidences of T': if s < t, then
+    comp s = comp t or (comp s, comp t) is in ``poset.less``.
+
+    Monotone means simplicial.  A face of T'' is a chain s0 < ... < sk of
+    T' faces, each pair an incidence, so its image is a set of pairwise
+    comparable components: a chain of the transitive order ``less``, a
+    face of the pre-nerve.  Conversely, let the map be simplicial and
+    s < t.  The edge (s)(t) goes to a face, so comp s and comp t are equal
+    or comparable.  If (comp t, comp s) were in ``less`` with the two
+    different, t would lie in a cell r of comp s, with s < t < r and t
+    off comp s.  No component built here does that: ``cell_components``
+    joins faces of one label by codim-1 steps, and both labellings (the
+    type, or d off the spine; k' against the rest for a plain pair) only
+    grow from a face to its cofaces, so every face between s and r has
+    their label and is joined to both by codim-1 steps through it.  So on
+    these components the check is exactly "the map is simplicial", the
+    check a ``SimplicialMap`` makes over every face of T''; other
+    components are refused unless monotone, and a monotone map is
+    simplicial.
+    """
+    dt = derived(t).complex
+    label = derived_labels(dt.faces)  # T'' vertex labels, with the collision check
+    cells = tuple(sorted(label, key=label.__getitem__))
+    fid = {c: i for i, c in enumerate(cells)}
     pn = order_complex(poset)
-    assign = {
-        dtt.vertex_of_face[cell]: poset.cell_component[cell]
-        for cell in dt.complex.faces
-    }
-    return SimplicialMap(dtt.complex, pn, assign)
+    cid = {c: i for i, c in enumerate(pn.vertices)}
+    image = [cid[poset.cell_component[c]] for c in cells]
+    less = {(cid[a], cid[b]) for a, b in poset.less}
+    cof = dt.proper_cofaces
+    above = []
+    for i, c in enumerate(cells):
+        up = [fid[x] for x in cof[c]]
+        for j in up:
+            if image[i] != image[j] and (image[i], image[j]) not in less:
+                edge = tuple(sorted((label[c], label[cells[j]])))
+                raise ValueError(f"image of face {edge} is not a target face")
+        above.append(up)
+    return PrenerveMap(dt, pn, tuple(label[c] for c in cells), image, above)
 
 
 def nerve_of_poset(t: Complex, poset: ComponentPoset) -> NervePair:
@@ -266,4 +464,3 @@ def nerve_checks(np_: NervePair, vertex_count: int, ambient_dim: int) -> NerveRe
         dim_iff_vertices_ok=dim_iff,
         failures=tuple(failures),
     )
-

@@ -13,9 +13,8 @@ re-exported here.
 
 ``cell_components`` is the one kernel for components of a labelled face
 poset: on int face ids, one walk over codim-1 subfaces gives each face's
-component and the pairs of components one step between labels apart.
-``stratum_components`` labels the faces of T' by type, or d off the
-spine; ``nerve.stein`` labels its source's faces by f'.
+component.  ``stratum_components`` labels the faces of T' by type, or d
+off the spine.
 """
 
 from __future__ import annotations
@@ -78,17 +77,14 @@ class StratumComponent:
     cells: frozenset[Face]
 
 
-def cell_components(
-    faces: Sequence[Face], label: Sequence[Hashable]
-) -> tuple[list[int], set[tuple[int, int]]]:
+def cell_components(faces: Sequence[Face], label: Sequence[Hashable]) -> list[int]:
     """Components of a complex's faces joined by codim-1 steps between
     faces of equal label, read in one walk over codim-1 subfaces.
 
     ``faces`` are all faces of a complex in tuple order and ``label[i]``
     labels ``faces[i]``.  Returns each face's component id, ids in
-    (label, least face) order, and the pairs (id of s, id of t) for the
-    codim-1 steps s < t between different labels.  Face i is id i inside,
-    so the ``_UnionFind`` root of a component is its least face.
+    (label, least face) order.  Face i is id i inside, so the
+    ``_UnionFind`` root of a component is its least face.
 
     Its caller ``stratum_components`` labels the faces of T' apart from
     the spine S: a spine cell by its type, every other face by d.  The
@@ -112,27 +108,28 @@ def cell_components(
        its least vertex v: ordering by least cell is ordering by least
        vertex.
 
-    ``nerve.stein`` labels the faces of f's source by f': the components
-    are its fibers, the i-th over w is the one it names ``w/i``, and the
-    step pairs generate its order.
+    5. Both labellings only grow from a face to its cofaces: by 1 a
+       subchain of a spine cell has at most the cell's type, every type is
+       below d, and by 2 the faces off S, labelled d (or 1), are upward
+       closed.  So the components are convex: if s < r < u with s and u
+       in one component, every face of a saturated chain from s to u
+       through r has their label, and the chain joins r to them.
+       ``nerve._prenerve_map`` relies on this.
     """
     fid = {c: i for i, c in enumerate(faces)}
     uf = _UnionFind(fid.values())  # the same int objects, not a second set
-    steps = set()  # root pairs; a root may be merged away later
     for t, c in enumerate(faces):
         for f in itertools.combinations(c, len(c) - 1):
             if f:
                 s = fid[f]
                 if label[s] == label[t]:
                     uf.union(s, t)
-                else:
-                    steps.add((uf.find(s), uf.find(t)))
     del fid
     root = [uf.find(v) for v in range(len(faces))]
     del uf
     reps = sorted((v for v, r in enumerate(root) if r == v), key=lambda v: (label[v], v))
     cid = {r: i for i, r in enumerate(reps)}
-    return [cid[r] for r in root], {(cid[root[s]], cid[root[t]]) for s, t in steps}
+    return [cid[r] for r in root]
 
 
 def stratum_components(s: SpineComplex) -> list[StratumComponent]:
@@ -142,7 +139,7 @@ def stratum_components(s: SpineComplex) -> list[StratumComponent]:
     d = s.ambient.dim
     faces = sorted(s.derived.complex.faces)
     types = [s.cell_type.get(c, d) for c in faces]
-    comp, _ = cell_components(faces, types)
+    comp = cell_components(faces, types)
     cells: list[list[Face]] = [[] for _ in range(max(comp) + 1)]
     for c, i in zip(faces, comp):
         cells[i].append(c)

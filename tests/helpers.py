@@ -51,6 +51,7 @@ from plspines.nerve import (
     SteinFactorization,
     component_poset,
     nerve_of_poset,
+    order_complex,
 )
 from plspines.partitions import VertexPartition, vertex_partition
 from plspines.recognize import (
@@ -541,11 +542,10 @@ def spine_vertex_count_from_links(cx: Complex, ambient_dim: int) -> int:
     return sum(1 for t in classify_all_links(cx, ambient_dim).values() if t == 0)
 
 
-def cell_components_bfs(faces: Sequence[Face], label: Sequence) -> tuple[list[int], set[tuple[int, int]]]:
+def cell_components_bfs(faces: Sequence[Face], label: Sequence) -> list[int]:
     """The oracle for ``strata.cell_components``: breadth-first search from
     each face not yet reached, through codim-1 subfaces and cofaces of the
-    same label; components numbered in (label, least face) order, and the
-    pairs of components that a codim-1 step between labels joins."""
+    same label; components numbered in (label, least face) order."""
     index = {c: i for i, c in enumerate(faces)}
     steps = [(index[f], t) for t, c in enumerate(faces)
              for f in itertools.combinations(c, len(c) - 1) if f]
@@ -569,8 +569,7 @@ def cell_components_bfs(faces: Sequence[Face], label: Sequence) -> tuple[list[in
             found.append(members)
     order = sorted(range(len(found)), key=lambda i: (label[min(found[i])], min(found[i])))
     rank = {i: r for r, i in enumerate(order)}
-    comp = [rank[i] for i in comp]
-    return comp, {(comp[s], comp[t]) for s, t in steps if label[s] != label[t]}
+    return [rank[i] for i in comp]
 
 
 def _components_of_cells(cells: set[Face], neighbors) -> list[frozenset[Face]]:
@@ -670,6 +669,16 @@ def stein_checks(sf: SteinFactorization) -> list[str]:
     return problems
 
 
+def prenerve_simplicial_map(t: Complex, poset: ComponentPoset) -> SimplicialMap:
+    """The pre-nerve map as a validated ``SimplicialMap`` T'' -> pre-nerve,
+    with T'' built: the input of the Stein oracle, and the map that
+    ``nerve._prenerve_map`` keeps on T' incidences without building T''."""
+    dt = derived(t)
+    dtt = derived(dt.complex)
+    assign = {dtt.vertex_of_face[cell]: poset.cell_component[cell] for cell in dt.complex.faces}
+    return SimplicialMap(dtt.complex, order_complex(poset), assign)
+
+
 def pair_component_poset(t: Complex, k: Complex) -> ComponentPoset:
     """Components of a plain pair (t, k): connected components of k and of
     its complement.  Valid when each connected component of k is a single
@@ -679,7 +688,7 @@ def pair_component_poset(t: Complex, k: Complex) -> ComponentPoset:
     dt = derived(t)
     kcells = derived_image(dt, k).faces
     faces = sorted(dt.complex.faces)
-    comp, _ = cell_components(faces, [int(c not in kcells) for c in faces])
+    comp = cell_components(faces, [int(c not in kcells) for c in faces])
     cells: list[list[Face]] = [[] for _ in range(max(comp) + 1)]
     for c, i in zip(faces, comp):
         cells[i].append(c)

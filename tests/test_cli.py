@@ -379,23 +379,29 @@ class TestDeterminism:
 
     def test_stein_independent_of_hash_seed(self):
         # Stein's step pairs come out of a set, and stdout's f-vectors would
-        # not show a middle numbered in another order
+        # not show a middle numbered in another order; S1*S1's discrete
+        # nerve has the most transversal chains of the golden jobs
+        join = Path(__file__).parent / "golden" / "S1_join_S1.cplx"
         code = (
             "import hashlib\n"
+            "from plspines.io import parse_complex\n"
             "from plspines.models import named_triangulation\n"
             "from plspines.nerve import nerve\n"
-            "from plspines.partitions import one_vs_rest\n"
+            "from plspines.partitions import discrete, one_vs_rest\n"
             "from plspines.spine import dual_spine\n"
             "t = named_triangulation('S3_pentachoron')\n"
-            "sf = nerve(dual_spine(t, one_vs_rest(t))).stein\n"
-            "print(hashlib.sha256(repr((sf.h, sorted(sf.middle.vertices))).encode()).hexdigest())\n"
+            f"u = parse_complex(open({str(join)!r}).read())\n"
+            "for s in (dual_spine(t, one_vs_rest(t)), dual_spine(u, discrete(u))):\n"
+            "    sf = nerve(s).stein\n"
+            "    key = (sf.h, sorted(sf.middle.vertices), sorted(sf.g_assignment.items()))\n"
+            "    print(hashlib.sha256(repr(key).encode()).hexdigest())\n"
         )
         outs = [
             subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                            timeout=120, env=_env(PYTHONHASHSEED=seed), check=True).stdout
             for seed in ("1", "4242")
         ]
-        assert len(outs[0]) == 65
+        assert len(outs[0]) == 2 * 65
         assert outs[0] == outs[1]
 
 

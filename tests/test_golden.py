@@ -60,7 +60,8 @@ JOBS = [
     ("drill_T2_7", ["drill", "--name", "T2_7", "--partition", "discrete", "--points", "5"], 0),
     ("nerve_S2_oct", ["nerve", "--name", "S2_oct", "--partition", "discrete"], 0),
     # vertices "a a* b b* c c*", where "*" sorts below ",": Stein numbers
-    # its fiber components by least face, whatever order their labels take
+    # its fiber components by least f-injective face, whatever order their
+    # labels take
     (
         "nerve_S1_join_S1",
         ["nerve", "--in", str(GOLDEN / "S1_join_S1.cplx"), "--partition", "discrete"],

@@ -1,11 +1,15 @@
+import importlib
 import itertools
+import pkgutil
 import random
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import plspines.core
 import plspines.nerve
 from plspines.core import (
     Complex,
@@ -18,9 +22,10 @@ from plspines.core import (
     derived_vertex_label,
     from_facets,
 )
+from plspines.cli import main
 from plspines.homology import betti
 from plspines.io import parse_complex
-from plspines.models import named_triangulation
+from plspines.models import catalogue_names, named_triangulation
 from plspines.nerve import (
     _prenerve_map,
     component_poset,
@@ -38,6 +43,7 @@ from helpers import (
     isomorphic,
     nerve_of_pair,
     pair_component_poset,
+    prenerve_simplicial_map,
     rainbow_top_chain_count,
     random_simplicial_map,
     stein_checks,
@@ -102,9 +108,10 @@ def _stein_on_derived_source(f: SimplicialMap):
     """The oracle: Stein factorization computed on the derived source.
 
     Fibers are the union-find classes of the same-image edges of the
-    derived source, each named at its first face in tuple order, and the
-    middle holds the h-image of every derived face.  Returns the h and g
-    assignments and the middle faces.
+    derived source, each named at its first f-injective face in tuple
+    order (every fiber component holds one), and the middle holds the
+    h-image of every derived face.  Returns the h and g assignments and
+    the middle faces.
     """
     fd = derived_map(f)
     src, a = fd.source, fd.assignment
@@ -114,6 +121,8 @@ def _stein_on_derived_source(f: SimplicialMap):
             uf.union(*face)
     root_label, g_assign, per_target = {}, {}, {}
     for s in sorted(f.source.faces):
+        if len(f.image(s)) < len(s):
+            continue
         r = uf.find(derived_vertex_label(s))
         if r not in root_label:
             i = per_target.get(a[r], 0)
@@ -125,12 +134,14 @@ def _stein_on_derived_source(f: SimplicialMap):
     return h_assign, g_assign, middle
 
 
-def _assert_matches_oracle(f: SimplicialMap):
+def _assert_matches_oracle(f: SimplicialMap, *factorizations):
+    """stein(f), and each factorization given, has the oracle's h, g and
+    middle."""
     h_assign, g_assign, middle = _stein_on_derived_source(f)
-    sf = stein(f)
-    assert stein_h_assignment(sf) == h_assign
-    assert dict(sf.g_assignment) == g_assign
-    assert sf.middle.faces == middle
+    for sf in (stein(f), *factorizations):
+        assert stein_h_assignment(sf) == h_assign
+        assert dict(sf.g_assignment) == g_assign
+        assert sf.middle.faces == middle
 
 
 # Labels where one is a prefix of another: "(a,b)" sorts before "(ab)",
@@ -158,6 +169,31 @@ def _optimum(t):
     return search_min_vertices(t).best_partition
 
 
+PARTITIONS = {"discrete": discrete, "one_vs_rest": one_vs_rest, "single": single_class,
+              "optimum": _optimum}
+
+# The gate of the T' route: every catalogue entry under three partitions
+# (D2_triangle has a boundary only its single class respects), the
+# genus2_10 optimum and the join S1*S1.  A discrete pair keeps its bare name.
+PRENERVE_GATE = [
+    pytest.param(name, part, id=name if part == "discrete" else f"{name}-{part}")
+    for name in catalogue_names()
+    for part in ("discrete", "one_vs_rest", "single")
+    if name != "D2_triangle" or part == "single"
+] + [
+    pytest.param("genus2_10", "optimum", id="genus2_10-optimum"),
+    pytest.param("S1_join_S1", "discrete", id="S1_join_S1"),
+]
+
+
+def _gate_pair(name: str, part: str):
+    if name == "S1_join_S1":
+        t = parse_complex((GOLDEN / "S1_join_S1.cplx").read_text())
+    else:
+        t = named_triangulation(name)
+    return t, component_poset(stratum_components(dual_spine(t, PARTITIONS[part](t))))
+
+
 class TestSteinOnFacePoset:
     # Fixed example sequence: the suite's data does not change between runs.
     @settings(derandomize=True, database=None, deadline=None, max_examples=200)
@@ -179,19 +215,22 @@ class TestSteinOnFacePoset:
         _assert_matches_oracle(_relabelled(f, rng, STAR_LABELS))
 
     def test_stein_labels_only_the_target(self, monkeypatch):
-        # the source faces are numbered in tuple order; derived labels name
+        # source faces are int ids on either route; derived labels name
         # only the target's faces, the vertices g maps to
         t = parse_complex((GOLDEN / "S1_join_S1.cplx").read_text())
-        f = _prenerve_map(t, component_poset(stratum_components(dual_spine(t, discrete(t)))))
+        poset = component_poset(stratum_components(dual_spine(t, discrete(t))))
         seen = []
 
         def spy(faces):
             seen.append(faces)
             return derived_labels(faces)
 
-        monkeypatch.setattr(plspines.nerve, "derived_labels", spy)
-        stein(f)
-        assert seen == [f.target.faces]
+        for f in (prenerve_simplicial_map(t, poset), _prenerve_map(t, poset)):
+            seen.clear()
+            monkeypatch.setattr(plspines.nerve, "derived_labels", spy)
+            stein(f)
+            monkeypatch.undo()
+            assert seen == [f.target.faces]
 
     # The lemma ``stein`` builds the middle on: if a face of the fiber
     # component A lies in a face of B, every face of B contains a face of A.
@@ -212,27 +251,51 @@ class TestSteinOnFacePoset:
                         for t2 in fiber[h[t]]:
                             assert any(s2 <= t2 for s2 in fiber[h[s]]), (s, t, t2)
 
-    @pytest.mark.parametrize("name, partition", [
-        pytest.param("T2_7", discrete, id="T2_7"),
-        pytest.param("RP2_6", discrete, id="RP2_6"),
-        pytest.param("S3_pentachoron", discrete, id="S3_pentachoron"),
-        # fibers that merge many T'' faces
-        pytest.param("T2_7", single_class, id="T2_7-single"),
-        pytest.param("S3_pentachoron", one_vs_rest, id="S3_pentachoron-one_vs_rest"),
-        pytest.param("genus2_10", _optimum, id="genus2_10-optimum"),
-    ])
-    def test_discrete_prenerve_maps_match_derived_source(self, name, partition):
-        t = named_triangulation(name)
-        poset = component_poset(stratum_components(dual_spine(t, partition(t))))
-        _assert_matches_oracle(_prenerve_map(t, poset))
+    # ``_prenerve_map`` walks the chains of T' and builds no T''; the same
+    # map built on T'' goes through the general route and the oracle
+    @pytest.mark.parametrize("name, part", PRENERVE_GATE)
+    def test_discrete_prenerve_maps_match_derived_source(self, name, part):
+        t, poset = _gate_pair(name, part)
+        f = prenerve_simplicial_map(t, poset)
+        sf = stein(_prenerve_map(t, poset))
+        assert sf.source == f.source
+        _assert_matches_oracle(f, sf)
 
     def test_pair_prenerve_map_matches_derived_source(self):
         # the nerve of a circle and a point is a circle over a segment: two
         # fiber components over each interior vertex, named w/0 and w/1
         t = named_triangulation("S1_triangle")
-        f = _prenerve_map(t, pair_component_poset(t, from_facets([["a"]])))
-        _assert_matches_oracle(f)
-        assert any(m.endswith("/1") for m in stein(f).middle.vertices)
+        poset = pair_component_poset(t, from_facets([["a"]]))
+        sf = stein(_prenerve_map(t, poset))
+        _assert_matches_oracle(prenerve_simplicial_map(t, poset), sf)
+        assert any(m.endswith("/1") for m in sf.middle.vertices)
+
+    @pytest.mark.parametrize("command", ["report", "nerve"])
+    @pytest.mark.parametrize("name", ["S3_pentachoron", "S1_join_S1"])
+    def test_nerve_path_never_derives_t_prime(self, monkeypatch, command, name):
+        # T'' is derived(T'): the CLI's nerve path reads the pre-nerve map
+        # off T' incidences and never asks for it
+        real = plspines.core.derived
+        seen = []
+
+        def spy(cx):
+            seen.append(cx)
+            return real(cx)
+
+        for info in pkgutil.iter_modules(plspines.__path__):
+            if not info.name.startswith("_"):
+                mod = importlib.import_module(f"plspines.{info.name}")
+                if getattr(mod, "derived", None) is real:
+                    monkeypatch.setattr(mod, "derived", spy)
+        if name == "S1_join_S1":
+            path = GOLDEN / "S1_join_S1.cplx"
+            t, args = parse_complex(path.read_text()), ["--in", str(path)]
+        else:
+            t, args = named_triangulation(name), ["--name", name]
+        result = CliRunner().invoke(main, [command, *args, "--partition", "discrete"])
+        assert result.exit_code == 0, result.output
+        t1 = real(t).complex
+        assert seen and all(cx != t1 for cx in seen)
 
     def test_nerve_never_builds_third_derived(self, monkeypatch):
         t = named_triangulation("S3_pentachoron")
@@ -272,7 +335,8 @@ class TestPrenerve:
     def test_pair_off_the_frontier_condition_raises(self):
         # an edge of a circle and the open arc off it: neither component
         # lies in the other's closure, so the pre-nerve has no edge for the
-        # T'' edges between them, and the pre-nerve map is not simplicial
+        # T'' edges between them, and the T' incidence check refuses the
+        # pre-nerve map
         s1 = named_triangulation("S1_triangle")
         with pytest.raises(ValueError, match="not a target face"):
             nerve_of_pair(s1, from_facets([["a", "b"]]))
@@ -306,9 +370,9 @@ class TestNerve:
         assert stein_checks(np_.stein) == []
 
 
-    def test_nerve_validates_only_the_prenerve_map(self, monkeypatch, sphere2):
-        # g comes back as a vertex map: the pre-nerve map, Stein's input, is
-        # the one SimplicialMap built and validated
+    def test_nerve_path_builds_no_simplicial_map(self, monkeypatch, sphere2):
+        # the pre-nerve map is checked monotone on T' incidences and g comes
+        # back as a vertex map: no map is built and validated face by face
         s = dual_spine(sphere2, discrete(sphere2))
         built = []
         real = SimplicialMap.__post_init__
@@ -319,8 +383,8 @@ class TestNerve:
 
         monkeypatch.setattr(SimplicialMap, "__post_init__", spy)
         np_ = nerve(s)
-        assert len(built) == 1
-        assert built[0].target is np_.prenerve
+        assert built == []
+        assert np_.nerve.dim == 2
 
 
 class TestNerveChecks:

@@ -198,13 +198,13 @@ class TestCellComponents:
     @settings(derandomize=True, database=None, deadline=None, max_examples=200)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_matches_breadth_first_oracle(self, seed):
-        # ids, their (label, least face) order and the step pairs, with int
-        # labels (the strata) and str labels (Stein's f')
+        # ids and their (label, least face) order, with int labels (the
+        # strata) and str labels
         rng = random.Random(seed)
         faces = sorted(random_complex(rng).faces)
         pool = rng.choice([(0, 1, 2), ("(b)", "(a,b)", "(a)")])[: rng.randint(1, 3)]
         label = [rng.choice(pool) for _ in faces]
-        comp, steps = cell_components(faces, label)
-        assert (comp, steps) == cell_components_bfs(faces, label)
+        comp = cell_components(faces, label)
+        assert comp == cell_components_bfs(faces, label)
         least = [comp.index(k) for k in range(max(comp) + 1)]
         assert least == sorted(least, key=lambda v: (label[v], v))
