@@ -24,7 +24,7 @@ import click
 
 from plspines import io as pio
 from plspines.core import Complex, InvariantViolation, derived
-from plspines.models import named_triangulation
+from plspines.models import enumerate_normal_discs, named_triangulation
 from plspines.partitions import (
     VertexPartition,
     discrete,
@@ -316,8 +316,6 @@ def homology(in_path, name, kdim):
 @click.option("--n", "n", type=int, required=True)
 def normal_discs(n):
     """Census of normal discs in the (n+1)-simplex."""
-    from plspines.homology import enumerate_normal_discs
-
     discs = enumerate_normal_discs(n)
     from collections import Counter
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Hashable, Iterable, Iterator, Mapping
 
 Face = tuple[str, ...]
@@ -64,28 +64,10 @@ class Complex:
     to build a complex from arbitrary face data.
     """
 
-    __slots__ = (
-        "faces",
-        "_hash",
-        "_dim",
-        "_vertices",
-        "_faces_sorted",
-        "_cofaces",
-        "_vertex_faces",
-        "_facets",
-    )
-
     def __init__(self, faces: Iterable[Face]):
         self.faces: frozenset[Face] = (
             faces if isinstance(faces, frozenset) else frozenset(faces)
         )
-        self._hash = None
-        self._dim = None
-        self._vertices = None
-        self._faces_sorted = None
-        self._cofaces = None
-        self._vertex_faces = None
-        self._facets = None
 
     # -- basic queries -------------------------------------------------
 
@@ -99,9 +81,7 @@ class Complex:
         return isinstance(other, Complex) and self.faces == other.faces
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(self.faces)
-        return self._hash
+        return hash(self.faces)  # a frozenset caches its own hash
 
     def __repr__(self) -> str:
         return f"Complex({len(self.faces)} faces, dim {self.dim})"
@@ -110,58 +90,39 @@ class Complex:
     def is_empty(self) -> bool:
         return not self.faces
 
-    @property
+    @cached_property
     def dim(self) -> int:
         """Dimension of the complex; -1 when empty."""
-        if self._dim is None:
-            self._dim = max((len(f) for f in self.faces), default=0) - 1
-        return self._dim
+        return max((len(f) for f in self.faces), default=0) - 1
 
-    @property
+    @cached_property
     def vertices(self) -> tuple[str, ...]:
-        if self._vertices is None:
-            self._vertices = tuple(sorted({v for f in self.faces for v in f}))
-        return self._vertices
+        return tuple(sorted({v for f in self.faces for v in f}))
 
-    @property
+    @cached_property
     def faces_sorted(self) -> tuple[Face, ...]:
         """All faces in canonical order (by dimension, then lexicographic)."""
-        if self._faces_sorted is None:
-            self._faces_sorted = tuple(sorted(self.faces, key=_face_key))
-        return self._faces_sorted
+        return tuple(sorted(self.faces, key=_face_key))
 
     def faces_of_dim(self, k: int) -> tuple[Face, ...]:
         return tuple(f for f in self.faces_sorted if len(f) == k + 1)
 
-    @property
+    @cached_property
     def facets(self) -> tuple[Face, ...]:
         """Inclusion-maximal faces, in canonical order."""
-        if self._facets is None:
-            cof = self.proper_cofaces
-            self._facets = tuple(f for f in self.faces_sorted if not cof[f])
-        return self._facets
+        cof = self.proper_cofaces
+        return tuple(f for f in self.faces_sorted if not cof[f])
 
-    @property
+    @cached_property
     def proper_cofaces(self) -> Mapping[Face, tuple[Face, ...]]:
-        """Map face -> all faces properly containing it, canonical order."""
-        if self._cofaces is None:
-            cof: dict[Face, list[Face]] = {f: [] for f in self.faces}
-            for f in self.faces_sorted:
-                for s in proper_subfaces(f):
-                    cof[s].append(f)
-            self._cofaces = {f: tuple(c) for f, c in cof.items()}
-        return self._cofaces
-
-    @property
-    def vertex_faces(self) -> Mapping[str, tuple[Face, ...]]:
-        """Map vertex label -> all faces containing it."""
-        if self._vertex_faces is None:
-            vf: dict[str, list[Face]] = {v: [] for v in self.vertices}
-            for f in self.faces_sorted:
-                for v in f:
-                    vf[v].append(f)
-            self._vertex_faces = {v: tuple(fs) for v, fs in vf.items()}
-        return self._vertex_faces
+        """Map face -> all faces properly containing it, canonical order.
+        The one coface table: the faces at a vertex v are (v,) and these
+        cofaces of (v,)."""
+        cof: dict[Face, list[Face]] = {f: [] for f in self.faces}
+        for f in self.faces_sorted:
+            for s in proper_subfaces(f):
+                cof[s].append(f)
+        return {f: tuple(c) for f, c in cof.items()}
 
     def has_subcomplex(self, sub: "Complex") -> bool:
         return sub.faces <= self.faces
@@ -299,9 +260,9 @@ def derived_star(cx: Complex, vertices: Iterable[str]) -> Complex:
     A coface of a face meeting V(L) meets V(L) too, so every chain walked
     here consists of faces in ``least``, and only those are labelled.
     """
-    vf = cx.vertex_faces
-    least = {f for v in vertices for f in vf[v]}
-    return Complex(frozenset(chains(cx.proper_cofaces, derived_labels(least), least)))
+    cof = cx.proper_cofaces
+    least = {f for v in vertices for f in ((v,), *cof[(v,)])}
+    return Complex(frozenset(chains(cof, derived_labels(least), least)))
 
 
 def derived_image(dc: DerivedComplex, sub: Complex) -> Complex:
@@ -329,10 +290,8 @@ def star(sub: Complex, amb: Complex) -> Complex:
     """Minimal subcomplex of amb containing all faces that meet sub."""
     if not amb.has_subcomplex(sub):
         raise ValueError("sub is not a subcomplex of the ambient complex")
-    vf = amb.vertex_faces
-    touched: set[Face] = set()
-    for v in sub.vertices:
-        touched.update(vf.get(v, ()))
+    cof = amb.proper_cofaces
+    touched = {f for v in sub.vertices for f in ((v,), *cof[(v,)])}
     return Complex(closure_faces(touched))
 
 

@@ -1,20 +1,19 @@
-"""Chain complexes and Betti numbers over the two-element field, and
-normal discs.
+"""Chain complexes and Betti numbers over the two-element field.
 
 Matrices over GF(2) are bit-packed, one Python int per column: bit r of
 column j is entry (r, j).  Boundaries are built straight from the face
 index, ranks and kernels come from one column reduction keyed by each
 column's lowest set bit, and no dense matrix is ever built.
+
+The module imports nothing from the package but ``core``, so every other
+module may import it at module top.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from plspines.core import Complex, Face, InvariantViolation
-from plspines.models import LocalModel, dual_model, simplex
-from plspines.partitions import VertexPartition, vertex_partition
 
 
 # -- GF(2) linear algebra -----------------------------------------------------
@@ -155,44 +154,3 @@ def betti_all(cx: Complex) -> list[int]:
         return []
     ch = Z2ChainComplex(cx)
     return [ch.betti(k) for k in range(cx.dim + 1)]
-
-
-# -- normal discs -------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class NormalDisc:
-    """Disc dual to a two-class vertex partition of a simplex."""
-
-    ambient_simplex: Complex
-    partition: VertexPartition
-    disc: Complex
-    type: tuple[int, int]
-
-
-def enumerate_normal_discs(n: int) -> list[NormalDisc]:
-    """One normal disc per two-class partition of the (n+1)-simplex's
-    vertices; there are 2^(n+1) - 1 of them."""
-    if n < 1:
-        raise ValueError("normal discs need n >= 1")
-    amb = simplex(n + 1)
-    verts = amb.vertices
-    out: list[NormalDisc] = []
-    seen: set[frozenset[str]] = set()
-    for r in range(1, len(verts)):
-        for side in itertools.combinations(verts, r):
-            v1 = frozenset(side)
-            v2 = frozenset(verts) - v1
-            if v1 in seen or v2 in seen:
-                continue
-            seen.add(v1)
-            part = vertex_partition(amb, [sorted(v1), sorted(v2)])
-            model: LocalModel = dual_model(n, part)
-            kind = tuple(sorted((len(v1), len(v2)), reverse=True))
-            out.append(NormalDisc(amb, part, model.model, kind))
-    expected = 2 ** (n + 1) - 1
-    if len(out) != expected:
-        raise InvariantViolation(
-            f"enumerated {len(out)} normal discs, expected {expected}"
-        )
-    return out

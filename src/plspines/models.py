@@ -1,14 +1,21 @@
-"""Generators for standard objects: simplexes, spheres, local models, and
-a small catalogue of named triangulations shipped as data files."""
+"""Generators for standard objects: simplexes, spheres, local models and
+normal discs, and a small catalogue of named triangulations shipped as
+data files.
+
+A local model is the polyhedron dual to a vertex partition of a simplex;
+a normal disc is the local model of a two-class partition.
+"""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from importlib import resources
 
 from plspines.collapse import collapses_to_point
 from plspines.core import Complex, InvariantViolation, derived, from_facets
-from plspines.partitions import VertexPartition
+from plspines.io import parse_complex
+from plspines.partitions import VertexPartition, vertex_partition
 from plspines.spine import assign_types, vertex_count
 
 
@@ -31,12 +38,18 @@ def boundary_sphere(n: int) -> Complex:
 
 @dataclass(frozen=True, eq=False)
 class LocalModel:
-    """A local model subcomplex of a derived simplex."""
+    """A local model subcomplex of a derived simplex, dual to ``partition``."""
 
     ambient: Complex
     model: Complex
     n: int
     k: int
+    partition: VertexPartition
+
+    @property
+    def type(self) -> tuple[int, ...]:
+        """Class sizes of the partition, largest first."""
+        return tuple(sorted(map(len, self.partition.classes), reverse=True))
 
 
 def dual_model(n: int, partition: VertexPartition) -> LocalModel:
@@ -61,7 +74,27 @@ def dual_model(n: int, partition: VertexPartition) -> LocalModel:
             )
         if not collapses_to_point(model):
             raise InvariantViolation("dual model did not collapse to a point")
-    return LocalModel(dt.complex, model, n, k)
+    return LocalModel(dt.complex, model, n, k, partition)
+
+
+def enumerate_normal_discs(n: int) -> list[LocalModel]:
+    """One normal disc per two-class partition of the (n+1)-simplex's
+    vertices, the first vertex in the first class; there are 2^(n+1) - 1."""
+    if n < 1:
+        raise ValueError("normal discs need n >= 1")
+    amb = simplex(n + 1)
+    first, *rest = amb.vertices
+    out = [
+        dual_model(n, vertex_partition(amb, [(first, *side), set(rest) - set(side)]))
+        for r in range(len(rest))
+        for side in itertools.combinations(rest, r)
+    ]
+    expected = 2 ** (n + 1) - 1
+    if len(out) != expected:
+        raise InvariantViolation(
+            f"enumerated {len(out)} normal discs, expected {expected}"
+        )
+    return out
 
 
 # -- catalogue --------------------------------------------------------------
@@ -89,7 +122,5 @@ def named_triangulation(name: str) -> Complex:
         raise ValueError(
             f"unknown triangulation {name!r}; known: {', '.join(catalogue_names())}"
         )
-    from plspines.io import parse_complex
-
     text = resources.files("plspines").joinpath("data", f"{name}.cplx").read_text()
     return parse_complex(text)

@@ -9,13 +9,17 @@ from the faces' masks, and ``spine.certify_span_component`` is asked once
 per distinct component with characteristic 1.
 
 Only the partitions built from certified classes are enumerated, by
-choosing the class of the lowest unassigned vertex.  The rainbow count is
-kept incremental: each class marks, as a bitmask over the facets, the
-facets it meets in two or more vertices, and a facet is rainbow exactly
-when no class marks it.  A facet left with fewer than two unassigned
-vertices can be marked by no later class, so a node whose unmarked such
-facets outnumber the incumbent's count is pruned; ties are still
-enumerated, and the least ``(count, canonical_key)`` wins.
+choosing the class of the lowest unassigned vertex, candidates in label
+order.  Every candidate at a node holds that vertex, so the walk reaches
+complete partitions in increasing ``canonical_key`` order, and the first
+one found at a count has the least key for that count.  The rainbow
+count is kept incremental: each class marks, as a bitmask over the
+facets, the facets it meets in two or more vertices, and a facet is
+rainbow exactly when no class marks it.  A facet left with fewer than
+two unassigned vertices can be marked by no later class, so a node whose
+unmarked such facets number at least the incumbent's count is pruned:
+ties are not enumerated, and each complete partition reached beats the
+incumbent outright.  The answer is the least ``(count, canonical_key)``.
 
 The search is exhaustive, and proven so, when the 2**n vertex subsets of
 an n-vertex complex fit the cap.  Above the cap only the singleton
@@ -39,8 +43,8 @@ class SearchResult:
     best_partition: VertexPartition
     best_count: int
     proven_exhaustive: bool
-    # complete partitions the bounded enumeration reaches (not pruned);
-    # every class of each one is certified
+    # complete partitions the bounded enumeration reaches (not pruned):
+    # each beats the one before it, and every class of each is certified
     partitions_examined: int
 
     @property
@@ -145,18 +149,21 @@ def search_min_vertices(t: Complex, cap: int = 100_000, seed: int = 0) -> Search
     classes = range(1, 1 << n) if exhaustive else (1 << i for i in range(n))
     for m in certified_classes(t, classes, seed=seed):
         by_low[_low(m)].append((m, _labels(verts, m), meets_twice(m)))
+    for cands in by_low:
+        cands.sort(key=lambda c: c[1])
 
     best: tuple[int, tuple] = (n_facets + 1, ())  # every partition beats it
     examined = 0
 
     def walk(rest: int, marked: int, key: tuple) -> None:
-        # vertices are sorted, so classes come out in canonical order
+        # vertices are sorted, so classes come out in canonical order, and
+        # candidates are in label order, so keys come out in increasing order
         nonlocal best, examined
-        if n_facets - (marked | meets_twice(rest)).bit_count() > best[0]:
+        if n_facets - (marked | meets_twice(rest)).bit_count() >= best[0]:
             return
         if not rest:
             examined += 1
-            best = min(best, (n_facets - marked.bit_count(), key))
+            best = (n_facets - marked.bit_count(), key)
             return
         for m, labels, k in by_low[_low(rest)]:
             if m & rest == m:

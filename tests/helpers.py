@@ -39,7 +39,6 @@ from plspines.core import (
 from plspines.drill import DrillContext, drill
 from plspines.homology import (
     GF2Matrix,
-    NormalDisc,
     Z2ChainComplex,
     _bits,
     gf2_kernel_basis,
@@ -316,13 +315,13 @@ def isomorphism(a: Complex, b: Complex, max_faces: int = 200) -> dict[str, str] 
     # most constrained vertices first
     order = sorted(a.vertices, key=lambda v: (len(by_sig[siga[v]]), v))
     b_faces = b.faces
-    a_vfaces = a.vertex_faces
+    a_cof = a.proper_cofaces
 
     assign: dict[str, str] = {}
     used: set[str] = set()
 
     def ok(v: str) -> bool:
-        for f in a_vfaces[v]:
+        for f in ((v,), *a_cof[(v,)]):
             if all(u in assign for u in f):
                 if tuple(sorted(assign[u] for u in f)) not in b_faces:
                     return False
@@ -524,13 +523,14 @@ def pi_boundary(n: int, k: int = 0) -> LocalModel:
     singles = [[v] for v in verts[: n + 1 - k]]
     rest = verts[n + 1 - k :]
     classes = singles + ([rest] if rest else [])
-    s = dual_spine(amb, vertex_partition(amb, classes))
+    part = vertex_partition(amb, classes)
+    s = dual_spine(amb, part)
     model = s.as_complex()
     if model.dim != n - 1:
         raise InvariantViolation(
             f"pi_boundary({n},{k}) has dim {model.dim}, expected {n - 1}"
         )
-    return LocalModel(s.derived.complex, model, n, k)
+    return LocalModel(s.derived.complex, model, n, k, part)
 
 
 def spine_vertex_count_from_links(cx: Complex, ambient_dim: int) -> int:
@@ -763,15 +763,15 @@ def hypersurface_from_class(
     return sub
 
 
-def disc_boundary(nd: NormalDisc) -> Complex:
+def disc_boundary(nd: LocalModel) -> Complex:
     """Trace of a normal disc on the boundary sphere of its simplex:
     the faces whose chains avoid the top simplex."""
-    amb = nd.ambient_simplex
+    amb = nd.partition.base
     top = amb.facets[0]
     d = derived(amb)
     top_vertex = d.vertex_of_face[top]
     return Complex(
-        frozenset(f for f in nd.disc.faces if top_vertex not in f)
+        frozenset(f for f in nd.model.faces if top_vertex not in f)
     )
 
 

@@ -11,8 +11,8 @@ import zlib
 from collections import Counter
 
 from plspines.core import from_facets
-from plspines.homology import betti, enumerate_normal_discs
-from plspines.models import boundary_sphere, named_triangulation
+from plspines.homology import betti
+from plspines.models import boundary_sphere, enumerate_normal_discs, named_triangulation
 from plspines.nerve import nerve, nerve_checks, stein
 from plspines.partitions import discrete, one_vs_rest, vertex_partition
 from plspines.recognize import is_closed_pseudomanifold

@@ -94,6 +94,13 @@ class TestDerived:
             assert len(d.complex.vertices) == len(cx.faces)
             assert d.complex.dim == cx.dim
 
+    def test_equal_complexes_share_one_cache_entry(self):
+        # derived's lru_cache keys on Complex.__hash__ and __eq__
+        a = from_facets([["a", "b", "c"], ["c", "d"]])
+        b = Complex(frozenset(a.faces))
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert derived(a) is derived(b)
+
     def test_chain_decode(self):
         d = derived(simplex(1))
         for f in d.complex.faces:
@@ -208,7 +215,12 @@ class TestRegularNeighborhood:
         faces = cx.faces_sorted
         sub = closure(cx, rng.sample(faces, rng.randint(0, min(4, len(faces)))))
         d = derived(cx)
-        assert derived_star(cx, sub.vertices) == star(derived_image(d, sub), d.complex)
+        sub_d = derived_image(d, sub)
+        assert derived_star(cx, sub.vertices) == star(sub_d, d.complex)
+        # the plain scan reads no coface table
+        assert star(sub_d, d.complex) == closure(
+            d.complex, (f for f in d.complex.faces if set(f) & set(sub_d.vertices))
+        )
         assert regular_neighborhood(sub, cx) == regular_neighborhood_direct(sub, cx)
 
     def test_derived_star_labels_only_the_faces_it_walks(self, sphere2, monkeypatch):
@@ -220,7 +232,7 @@ class TestRegularNeighborhood:
         orig = core.derived_vertex_label
         monkeypatch.setattr(core, "derived_vertex_label", lambda f: labelled.append(f) or orig(f))
         derived_star(tp, [v])
-        assert sorted(labelled) == sorted(tp.vertex_faces[v])
+        assert sorted(labelled) == sorted([(v,), *tp.proper_cofaces[(v,)]])
 
     def test_derived_star_rejects_colliding_labels_it_walks(self):
         cx = from_facets([["a,b"], ["a", "b"]])

@@ -1,21 +1,27 @@
+import ast
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import plspines
 from plspines.core import InvariantViolation, from_facets
 from plspines.homology import (
     GF2Matrix,
     Z2ChainComplex,
     betti,
     betti_all,
-    enumerate_normal_discs,
     gf2_kernel_basis,
     gf2_rank,
 )
 from plspines.collapse import collapses_to_point
+from plspines.models import enumerate_normal_discs
 from plspines.recognize import is_closed_pseudomanifold
 from helpers import (
     disc_boundary,
@@ -176,7 +182,7 @@ class TestNormalDiscs:
     def test_every_disc_is_a_ball(self):
         for n in (1, 2, 3):
             for d in enumerate_normal_discs(n):
-                assert collapses_to_point(d.disc)
+                assert collapses_to_point(d.model)
 
     def test_disc_boundaries_are_closed_pseudomanifolds(self):
         for n in (2, 3):
@@ -228,3 +234,26 @@ class TestHypersurfaces:
             assert betti(model, n - 1) == n + 1
             nonzero = [s for s in top_cycle_supports(model) if s]
             assert len(nonzero) == 2 ** (n + 1) - 1 == len(enumerate_normal_discs(n))
+
+
+class TestLayering:
+    """``homology`` sits on ``core`` alone, so any module may import it."""
+
+    def test_imports_only_core_from_the_package(self):
+        from plspines import homology
+
+        tree = ast.parse(Path(homology.__file__).read_text())
+        names = {a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names}
+        names |= {
+            ("plspines." if n.level else "") + (n.module or "")
+            for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+        }
+        assert {m for m in names if m.split(".")[0] == "plspines"} == {"plspines.core"}
+
+    def test_import_leaves_models_unloaded(self):
+        src = str(Path(plspines.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = "import sys, plspines.homology; print('plspines.models' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             timeout=120, env={**os.environ, "PYTHONPATH": path}, check=True)
+        assert out.stdout == "False\n"
