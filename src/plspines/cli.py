@@ -6,21 +6,19 @@ partition section).  Commands on a pair (complex, partition) take
 ``--in``/``--name`` and ``--partition``; the partition is ``--partition``
 if given, else the one piped in with the complex, else the command's
 default (``discrete`` for ``report``; the others exit 1).  Exit codes,
-mapped once by the command group for every command: 0 success, 1 input
-error (click's usage errors included), 2 a certificate or check did not
-pass, 3 an internal invariant was violated (a theorem check failed, which
-means a bug), 141 stdout was closed before the report was written (128 +
-SIGPIPE, as a shell reports a producer cut off by a closed pipe).  Errors
-print ``error: <message>`` on stderr.
+mapped once by ``main`` for every command: 0 success, 1 input error
+(usage errors included: they print the usage line first), 2 a certificate
+or check did not pass, 3 an internal invariant was violated (a theorem
+check failed, which means a bug), 141 stdout was closed before the report
+was written (128 + SIGPIPE, as a shell reports a producer cut off by a
+closed pipe).  Errors print ``error: <message>`` on stderr.
 """
 
 from __future__ import annotations
 
-import functools
+import argparse
 import os
 import sys
-
-import click
 
 from plspines import io as pio
 from plspines.core import Complex, InvariantViolation, derived
@@ -43,41 +41,47 @@ EXIT_BUG = 3
 EXIT_PIPE = 141  # 128 + SIGPIPE (13), as shells report a killed writer
 
 
+def _echo(text: str, end: str = "\n") -> None:
+    # flushed line by line: a reader that leaves early shows up as
+    # BrokenPipeError while the command runs (exit 141)
+    print(text, end=end, flush=True)
+
+
 def _fail(msg: str, code: int) -> None:
-    click.echo(f"error: {msg}", err=True)
+    print(f"error: {msg}", file=sys.stderr)
     sys.exit(code)
 
 
-class _Commands(click.Group):
-    """The command group; maps errors to exit codes for every command.
+class _Parser(argparse.ArgumentParser):
+    """The parser of the group and of each subcommand: a usage error prints
+    the usage line and ``error: <message>`` and exits 1, not argparse's 2,
+    which would read as a failed check.  Both are built with
+    ``allow_abbrev=False``: ``--nam`` is not ``--name``."""
 
-    Usage errors surface in ``make_context`` (group options) and in
-    ``invoke`` (the command name and the subcommand's options); click
-    prints them and exits with their ``exit_code``, here 1 instead of 2.
-    """
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"error: {message}\n")
 
-    def make_context(self, *args, **kwargs) -> click.Context:
-        try:
-            return super().make_context(*args, **kwargs)
-        except click.UsageError as e:
-            e.exit_code = EXIT_INPUT
-            raise
 
-    def invoke(self, ctx: click.Context):
-        try:
-            return super().invoke(ctx)
-        except click.UsageError as e:
-            e.exit_code = EXIT_INPUT
-            raise
-        except InvariantViolation as e:
-            _fail(str(e), EXIT_BUG)
-        except ValueError as e:
-            _fail(str(e), EXIT_INPUT)
-        except BrokenPipeError:
-            # the reader is gone: send what is still buffered to devnull so
-            # the interpreter's last flush stays quiet
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            sys.exit(EXIT_PIPE)
+# (name, function, options) of each subcommand, in the order of this file
+_COMMANDS: list[tuple] = []
+
+
+def command(*options, name: str | None = None):
+    """Make the decorated function the subcommand ``name`` (default: the
+    function's name), called with the parsed options; each of ``options``
+    adds arguments to the subcommand's parser."""
+
+    def register(fn):
+        _COMMANDS.append((name or fn.__name__, fn, options))
+        return fn
+
+    return register
+
+
+def _arg(*flags, **kwargs):
+    """An option of a subcommand: one ``add_argument`` call."""
+    return lambda sp: sp.add_argument(*flags, **kwargs)
 
 
 def _read_file(path: str) -> str:
@@ -110,36 +114,37 @@ def _parse_partition(t: Complex, spec: str) -> VertexPartition:
     return pio.parse_partition(_read_file(spec), t)
 
 
+def _in_name(sp) -> None:
+    """Options --in and --name; with neither, the command reads stdin."""
+    sp.add_argument("--in", dest="in_path", metavar="PATH")
+    sp.add_argument("--name")
+
+
 def pair_input(default: str | None = None):
-    """Give a command --in, --name and --partition; it is called with the
-    complex and partition in place of those three options.
+    """Give a subcommand --in, --name and --partition; it is called with the
+    parsed options, then the complex and partition they name.
 
     The partition is --partition if given, else the piped one, else
     ``default``; with none of them the command exits 1.
     """
     fallback = "the piped one" + (f", else {default}" if default else "")
 
-    def decorate(fn):
-        @click.option("--in", "in_path", type=str, default=None)
-        @click.option("--name", type=str, default=None)
-        @click.option("--partition", "partition_arg", type=str, default=None,
-                      help=f"Vertex partition; default: {fallback}.")
-        @functools.wraps(fn)
-        def command(*args, in_path, name, partition_arg, **kwargs):
-            t, piped = _read_input(in_path, name)
-            if partition_arg is not None:
-                p = _parse_partition(t, partition_arg)
-            elif piped is not None:
-                p = piped
-            elif default is not None:
-                p = _parse_partition(t, default)
-            else:
-                raise ValueError("no partition given (use --partition)")
-            return fn(*args, t, p, **kwargs)
+    def resolve(opts):
+        t, piped = _read_input(opts.in_path, opts.name)
+        if opts.partition is not None:
+            return t, _parse_partition(t, opts.partition)
+        if piped is not None:
+            return t, piped
+        if default is not None:
+            return t, _parse_partition(t, default)
+        raise ValueError("no partition given (use --partition)")
 
-        return command
+    def add(sp):
+        _in_name(sp)
+        sp.add_argument("--partition", help=f"Vertex partition; default: {fallback}.")
+        sp.set_defaults(pair=resolve)
 
-    return decorate
+    return add
 
 
 def _write_out(out: str | None, text: str) -> None:
@@ -155,65 +160,83 @@ def _write_out(out: str | None, text: str) -> None:
 def _echo_strata(comps, d: int) -> None:
     """Count the stratum components of each type; type d are the regions."""
     for k in range(d):
-        click.echo(f"type {k} components: {sum(1 for c in comps if c.type == k)}")
-    click.echo(f"regions: {sum(1 for c in comps if c.type == d)}")
+        _echo(f"type {k} components: {sum(1 for c in comps if c.type == k)}")
+    _echo(f"regions: {sum(1 for c in comps if c.type == d)}")
 
 
 def _echo_nerve_checks(rep, closed: bool) -> bool:
     """Print the nerve checks; return whether those that apply pass.
     ``nerve-0or2`` is stated for closed manifold pairs only."""
     pseudo = ("pass" if rep.pseudomanifold_ok else "FAIL") if closed else "n/a (boundary)"
-    click.echo(f"nerve-0or2: {pseudo}")
-    click.echo(
-        f"nerve-dim-iff-vertices: {'pass' if rep.dim_iff_vertices_ok else 'FAIL'}"
-    )
+    _echo(f"nerve-0or2: {pseudo}")
+    _echo(f"nerve-dim-iff-vertices: {'pass' if rep.dim_iff_vertices_ok else 'FAIL'}")
     return rep.ok if closed else rep.dim_iff_vertices_ok
 
 
-@click.group(cls=_Commands)
-@click.option("--seed", type=int, default=0, show_default=True, help="RNG seed.")
-@click.option("--budget", type=int, default=100_000, show_default=True,
-              help="Search cap: exhaustive when 2**(vertex count) fits it, "
-              "else the discrete partition.")
-@click.option("--out", type=str, default=None, help="Optional output file.")
-@click.pass_context
-def main(ctx: click.Context, seed: int, budget: int, out: str | None):
+def _parser(prog: str) -> _Parser:
+    """The group's options, then one subparser per registered command."""
+    parser = _Parser(prog=prog, description=main.__doc__, allow_abbrev=False)
+    parser.add_argument("--seed", type=int, default=0, help="RNG seed. [default: %(default)s]")
+    parser.add_argument("--budget", type=int, default=100_000,
+                        help="Search cap: exhaustive when 2**(vertex count) fits it, "
+                        "else the discrete partition. [default: %(default)s]")
+    parser.add_argument("--out", help="Optional output file.")
+    commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
+    for name, fn, options in _COMMANDS:
+        doc = " ".join(fn.__doc__.split())
+        sp = commands.add_parser(name, help=doc, description=doc, allow_abbrev=False)
+        sp.set_defaults(run=fn)
+        for add in options:
+            add(sp)
+    return parser
+
+
+def main(args: list[str] | None = None, prog_name: str = "plspines") -> None:
     """Simple spines of PL manifolds: construction, search, and checks."""
-    if budget < 0:
-        raise ValueError(f"--budget must be at least 0, got {budget}")
-    ctx.obj = {"seed": seed, "budget": budget, "out": out}
+    opts = _parser(prog_name).parse_args(args)
+    try:
+        if opts.budget < 0:
+            raise ValueError(f"--budget must be at least 0, got {opts.budget}")
+        opts.run(opts, *(opts.pair(opts) if "pair" in opts else ()))
+    except InvariantViolation as e:
+        _fail(str(e), EXIT_BUG)
+    except ValueError as e:
+        _fail(str(e), EXIT_INPUT)
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to devnull so
+        # the interpreter's last flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(EXIT_PIPE)
 
 
-@main.command()
-@click.option("--name", required=True, help="Catalogue name.")
-@click.pass_context
-def gen(ctx, name: str):
+# bench/traced_cli.py runs a command as main.main(args=..., prog_name=...)
+main.main = main
+
+
+@command(_arg("--name", required=True, help="Catalogue name."))
+def gen(opts):
     """Emit a catalogued triangulation in the canonical format."""
-    text = pio.format_complex(named_triangulation(name), comments=[f"name: {name}"])
-    click.echo(text, nl=False)
-    _write_out(ctx.obj["out"], text)
+    text = pio.format_complex(named_triangulation(opts.name), comments=[f"name: {opts.name}"])
+    _echo(text, end="")
+    _write_out(opts.out, text)
 
 
-@main.command()
-@click.option("--in", "in_path", type=str, default=None)
-@click.option("--times", type=int, default=1, show_default=True)
-@click.pass_context
-def subdivide(ctx, in_path, times: int):
+@command(_arg("--in", dest="in_path", metavar="PATH"),
+         _arg("--times", type=int, default=1, help="[default: %(default)s]"))
+def subdivide(opts):
     """Derived (barycentric) subdivision of a complex."""
-    if times < 0:
-        raise ValueError(f"--times must be at least 0, got {times}")
-    cx, _ = _read_input(in_path, None)
-    for _ in range(times):
+    if opts.times < 0:
+        raise ValueError(f"--times must be at least 0, got {opts.times}")
+    cx, _ = _read_input(opts.in_path, None)
+    for _ in range(opts.times):
         cx = derived(cx).complex
-    text = pio.format_complex(cx, comments=[f"derived x{times}"])
-    click.echo(text, nl=False)
-    _write_out(ctx.obj["out"], text)
+    text = pio.format_complex(cx, comments=[f"derived x{opts.times}"])
+    _echo(text, end="")
+    _write_out(opts.out, text)
 
 
-@main.command("dual-spine")
-@pair_input()
-@click.pass_context
-def dual_spine_cmd(ctx, t, p):
+@command(pair_input(), name="dual-spine")
+def dual_spine_cmd(opts, t, p):
     """Build the dual spine; emits the input with its partition for piping,
     report lines as comments, and writes the spine complex to --out."""
     s = dual_spine(t, p)
@@ -223,123 +246,102 @@ def dual_spine_cmd(ctx, t, p):
         f"spine dim: {spine_cx.dim}",
         f"vertices: {s.vertex_count}",
     ]
-    click.echo(pio.format_combined(t, p, comments=comments), nl=False)
-    if ctx.obj["out"]:
-        _write_out(ctx.obj["out"], pio.format_complex(spine_cx))
+    _echo(pio.format_combined(t, p, comments=comments), end="")
+    if opts.out:
+        _write_out(opts.out, pio.format_complex(spine_cx))
 
 
-@main.command("verify-spine")
-@pair_input()
-@click.pass_context
-def verify_spine_cmd(ctx, t, p):
+@command(pair_input(), name="verify-spine")
+def verify_spine_cmd(opts, t, p):
     """Certify the spine: each complement region is a ball, or a collar on
     the boundary, decided on its class's span where the span can."""
-    cert = verify_spine(dual_spine(t, p), seed=ctx.obj["seed"])
-    click.echo(f"certificate: {cert.certificate}")
-    click.echo(f"vertices: {cert.vertices}")
+    cert = verify_spine(dual_spine(t, p), seed=opts.seed)
+    _echo(f"certificate: {cert.certificate}")
+    _echo(f"vertices: {cert.vertices}")
     for r in cert.region_reports:
         status = "ok" if r.ok else "not collapsed"
-        click.echo(
-            f"region class {r.class_index} component {r.component_index}: "
-            f"{r.kind} {status} ({r.faces} faces)"
-        )
+        _echo(f"region class {r.class_index} component {r.component_index}: "
+              f"{r.kind} {status} ({r.faces} faces)")
     if not cert.is_yes:
         sys.exit(EXIT_CHECK)
 
 
-@main.command()
-@pair_input()
-def strata(t, p):
+@command(pair_input())
+def strata(opts, t, p):
     """Stratum components of the dual spine, by type."""
     s = dual_spine(t, p)
     comps = stratum_components(s)
-    click.echo(f"spine cells: {len(s.cells)}")
-    click.echo(f"vertices: {s.vertex_count}")
+    _echo(f"spine cells: {len(s.cells)}")
+    _echo(f"vertices: {s.vertex_count}")
     _echo_strata(comps, t.dim)
 
 
-@main.command()
-@click.option("--in", "in_path", type=str, default=None)
-@click.option("--name", type=str, default=None)
-@click.option("--exhaustive", is_flag=True, help="Require a proven-exhaustive search.")
-@click.pass_context
-def search(ctx, in_path, name, exhaustive):
+@command(_in_name,
+         _arg("--exhaustive", action="store_true", help="Require a proven-exhaustive search."))
+def search(opts):
     """Minimize the spine vertex count over certified partitions."""
-    t, _ = _read_input(in_path, name)
-    res = search_min_vertices(t, ctx.obj["budget"], seed=ctx.obj["seed"])
-    if exhaustive and not res.proven_exhaustive:
+    t, _ = _read_input(opts.in_path, opts.name)
+    res = search_min_vertices(t, opts.budget, seed=opts.seed)
+    if opts.exhaustive and not res.proven_exhaustive:
         _fail("budget too small for an exhaustive search", EXIT_CHECK)
-    click.echo(f"best_count: {res.best_count}")
-    click.echo(f"proven_exhaustive: {str(res.proven_exhaustive).lower()}")
-    click.echo(
-        "best_partition: "
-        + " | ".join(" ".join(c) for c in res.best_partition.canonical_key())
-    )
-    if ctx.obj["out"]:
-        _write_out(ctx.obj["out"], pio.format_partition(res.best_partition))
+    _echo(f"best_count: {res.best_count}")
+    _echo(f"proven_exhaustive: {str(res.proven_exhaustive).lower()}")
+    key = res.best_partition.canonical_key()
+    _echo("best_partition: " + " | ".join(" ".join(c) for c in key))
+    if opts.out:
+        _write_out(opts.out, pio.format_partition(res.best_partition))
 
 
-@main.command()
-@pair_input()
-def nerve(t, p):
+@command(pair_input())
+def nerve(opts, t, p):
     """Pre-nerve and nerve of the pair, with the structural checks."""
     from plspines.nerve import nerve as nerve_fn
     from plspines.nerve import nerve_checks
 
     s = dual_spine(t, p)
     np_ = nerve_fn(s)
-    click.echo(f"prenerve f-vector: {' '.join(map(str, np_.prenerve.f_vector()))}")
-    click.echo(f"nerve f-vector: {' '.join(map(str, np_.nerve.f_vector()))}")
-    click.echo(f"nerve dim: {np_.nerve.dim}")
+    _echo(f"prenerve f-vector: {' '.join(map(str, np_.prenerve.f_vector()))}")
+    _echo(f"nerve f-vector: {' '.join(map(str, np_.nerve.f_vector()))}")
+    _echo(f"nerve dim: {np_.nerve.dim}")
     rep = nerve_checks(np_, s.vertex_count, t.dim)
     if not _echo_nerve_checks(rep, boundary_complex(t).is_empty):
         raise InvariantViolation("; ".join(rep.failures))
 
 
-@main.command()
-@click.option("--in", "in_path", type=str, default=None)
-@click.option("--name", type=str, default=None)
-@click.option("--k", "kdim", type=int, default=None, help="Single homology degree.")
-def homology(in_path, name, kdim):
+@command(_in_name, _arg("--k", type=int, help="Single homology degree."))
+def homology(opts):
     """Betti numbers over the two-element field."""
-    cx, _ = _read_input(in_path, name)
+    cx, _ = _read_input(opts.in_path, opts.name)
     from plspines.homology import betti, betti_all
 
-    if kdim is not None:
-        click.echo(f"betti[{kdim}]: {betti(cx, kdim)}")
+    if opts.k is not None:
+        _echo(f"betti[{opts.k}]: {betti(cx, opts.k)}")
     else:
-        bs = betti_all(cx)
-        click.echo("betti: " + " ".join(map(str, bs)))
+        _echo("betti: " + " ".join(map(str, betti_all(cx))))
 
 
-@main.command("normal-discs")
-@click.option("--n", "n", type=int, required=True)
-def normal_discs(n):
+@command(_arg("--n", type=int, required=True), name="normal-discs")
+def normal_discs(opts):
     """Census of normal discs in the (n+1)-simplex."""
-    discs = enumerate_normal_discs(n)
+    discs = enumerate_normal_discs(opts.n)
     from collections import Counter
 
     kinds = Counter(d.type for d in discs)
-    parts = ", ".join(
-        f"{kinds[k]}x({k[0]},{k[1]})" for k in sorted(kinds, reverse=True)
-    )
-    click.echo(f"total: {len(discs)} ({parts})")
+    parts = ", ".join(f"{kinds[k]}x({k[0]},{k[1]})" for k in sorted(kinds, reverse=True))
+    _echo(f"total: {len(discs)} ({parts})")
 
 
-@main.command()
-@pair_input()
-@click.option("--points", type=int, default=1, show_default=True,
-              help="Number of seeded off-1-skeleton drill points.")
-@click.pass_context
-def drill(ctx, t, p, points):
+@command(pair_input(), _arg("--points", type=int, default=1, help="Number of seeded "
+                            "off-1-skeleton drill points. [default: %(default)s]"))
+def drill(opts, t, p):
     """Drill the dual spine at seeded points off its 1-skeleton."""
-    if points < 1:
-        raise ValueError(f"--points must be at least 1, got {points}")
+    if opts.points < 1:
+        raise ValueError(f"--points must be at least 1, got {opts.points}")
     from plspines.drill import drill as drill_fn
     from plspines.drill import prepare, sample_drill_points
 
     ctx_d = prepare(dual_spine(t, p))
-    pts = sample_drill_points(ctx_d, points, seed=ctx.obj["seed"])
+    pts = sample_drill_points(ctx_d, opts.points, seed=opts.seed)
     bad = 0
     for i, k in enumerate(pts):
         res = drill_fn(ctx_d, k)
@@ -350,40 +352,36 @@ def drill(ctx, t, p, points):
             status = " preserved" if preserved else " CHANGED"
             if not preserved:
                 bad += 1
-        click.echo(
-            f"drill {i} at {label}: vertices {res.vertices_before} -> "
-            f"{res.vertices_after}{status}"
-        )
+        _echo(f"drill {i} at {label}: vertices {res.vertices_before} -> "
+              f"{res.vertices_after}{status}")
     if bad and t.dim >= 3:
         raise InvariantViolation("off-skeleton drilling changed the vertex count")
 
 
-@main.command()
-@pair_input(default="discrete")
-@click.pass_context
-def report(ctx, t, p):
+@command(pair_input(default="discrete"))
+def report(opts, t, p):
     """Full pipeline for one manifold: spine, certificate, strata, nerve,
     checks, and homology, as one summary."""
     from plspines.homology import betti_all
     from plspines.nerve import component_poset, nerve_checks, nerve_of_poset
 
     s = dual_spine(t, p)  # an input error leaves stdout empty
-    if ctx.params["name"]:
-        click.echo(f"manifold: {ctx.params['name']}")
-    click.echo(f"dim: {t.dim}")
-    click.echo(f"f-vector: {' '.join(map(str, t.f_vector()))}")
-    click.echo(f"euler: {euler_characteristic(t)}")
-    click.echo("partition: " + " | ".join(" ".join(c) for c in p.canonical_key()))
-    cert = verify_spine(s, seed=ctx.obj["seed"])
-    click.echo(f"vertices: {s.vertex_count}")
-    click.echo(f"certificate: {cert.certificate}")
+    if opts.name:
+        _echo(f"manifold: {opts.name}")
+    _echo(f"dim: {t.dim}")
+    _echo(f"f-vector: {' '.join(map(str, t.f_vector()))}")
+    _echo(f"euler: {euler_characteristic(t)}")
+    _echo("partition: " + " | ".join(" ".join(c) for c in p.canonical_key()))
+    cert = verify_spine(s, seed=opts.seed)
+    _echo(f"vertices: {s.vertex_count}")
+    _echo(f"certificate: {cert.certificate}")
     comps = stratum_components(s)
     _echo_strata(comps, t.dim)
     np_ = nerve_of_poset(t, component_poset(comps))
-    click.echo(f"nerve dim: {np_.nerve.dim}")
+    _echo(f"nerve dim: {np_.nerve.dim}")
     rep = nerve_checks(np_, s.vertex_count, t.dim)
     nerve_ok = _echo_nerve_checks(rep, boundary_complex(t).is_empty)
-    click.echo("betti: " + " ".join(map(str, betti_all(t))))
+    _echo("betti: " + " ".join(map(str, betti_all(t))))
     if not nerve_ok:
         raise InvariantViolation("; ".join(rep.failures))
     if not cert.is_yes:

@@ -3,16 +3,20 @@ test modules.
 
 The oracles are independent constructions the package's own code is
 checked against; the theorem checks assert what the paper proves of the
-package's output.  No module under ``src/`` calls either.
+package's output.  No module under ``src/`` calls either.  Only the
+dense GF(2) oracles import numpy, so ``run_cli`` runs where the package's
+runtime alone is installed.
 """
 
+from __future__ import annotations
+
 import collections
+import io
 import itertools
 import random
+import sys
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from plspines.core import (
     EMPTY,
@@ -36,6 +40,7 @@ from plspines.core import (
     star,
     subcomplex_spanned,
 )
+from plspines.cli import main
 from plspines.drill import DrillContext, drill
 from plspines.homology import (
     GF2Matrix,
@@ -235,6 +240,8 @@ def rainbow_top_chain_count(t: Complex, poset) -> int:
 def gf2_row_reduce(M: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """The dense oracle: reduced row echelon form over GF(2); returns
     (R, pivot columns)."""
+    import numpy as np
+
     R = (np.asarray(M, dtype=np.uint8) % 2).copy()
     rows, cols = R.shape
     pivots: list[int] = []
@@ -258,6 +265,8 @@ def gf2_row_reduce(M: np.ndarray) -> tuple[np.ndarray, list[int]]:
 
 def to_dense(M: GF2Matrix) -> np.ndarray:
     """The bit-packed matrix as a dense 0/1 array."""
+    import numpy as np
+
     rows, cols = M.shape
     return np.array([[(c >> r) & 1 for c in M.columns] for r in range(rows)],
                     dtype=np.uint8).reshape(rows, cols)
@@ -265,6 +274,8 @@ def to_dense(M: GF2Matrix) -> np.ndarray:
 
 def from_dense(D) -> GF2Matrix:
     """A 0/1 array (or nested lists) as a bit-packed matrix."""
+    import numpy as np
+
     D = np.asarray(D, dtype=np.uint8)
     rows, cols = D.shape
     return GF2Matrix(rows, [sum(int(D[r, c]) << r for r in range(rows)) for c in range(cols)])
@@ -831,3 +842,22 @@ def cut_along_hypersurface(
             f"{s.vertex_count} -> {after}"
         )
     return CutReport(s.vertex_count, after, predicted, holds, res.complex)
+
+
+# -- the command line ------------------------------------------------------
+
+
+def run_cli(args, stdin: str | None = None) -> tuple[int, str, str]:
+    """Run ``plspines <args>`` in this process, with ``stdin`` (default
+    empty) on standard input; returns (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin, sys.stdout, sys.stderr
+    sys.stdin, sys.stdout, sys.stderr = io.StringIO(stdin or ""), out, err
+    try:
+        main(list(args))
+        code = 0
+    except SystemExit as e:
+        code = e.code or 0
+    finally:
+        sys.stdin, sys.stdout, sys.stderr = saved
+    return code, out.getvalue(), err.getvalue()

@@ -9,24 +9,12 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 import plspines
-from plspines.cli import main
 from plspines.core import InvariantViolation
 from plspines.io import format_complex
 from plspines.models import named_triangulation
-from helpers import wedge_of_tetra_boundaries
-
-
-@pytest.fixture()
-def runner():
-    # click 8.1 mixes stderr into the output unless told not to; click 8.2
-    # keeps the two apart and no longer takes the option
-    try:
-        return CliRunner(mix_stderr=False)
-    except TypeError:
-        return CliRunner()
+from helpers import run_cli, wedge_of_tetra_boundaries
 
 
 def _env(**extra):
@@ -36,34 +24,32 @@ def _env(**extra):
     return {**os.environ, "PYTHONPATH": path, **extra}
 
 
-def invoke(runner, args, **kw):
-    return runner.invoke(main, args, catch_exceptions=False, **kw)
+def _stdout(args, stdin=None):
+    """Stdout of a command that must exit 0."""
+    code, out, err = run_cli(args, stdin)
+    assert code == 0, (args, err)
+    return out
 
 
 class TestGen:
-    def test_gen_torus(self, runner):
-        res = invoke(runner, ["gen", "--name", "T2_7"])
-        assert res.exit_code == 0
-        assert "dim 2" in res.output
-        assert len([l for l in res.output.splitlines()
-                    if l and not l.startswith("#")]) == 15
+    def test_gen_torus(self):
+        out = _stdout(["gen", "--name", "T2_7"])
+        assert "dim 2" in out
+        assert len([l for l in out.splitlines() if l and not l.startswith("#")]) == 15
 
-    def test_gen_unknown_exits_1(self, runner):
-        res = runner.invoke(main, ["gen", "--name", "nope"])
-        assert res.exit_code == 1
+    def test_gen_unknown_exits_1(self):
+        code, _, _ = run_cli(["gen", "--name", "nope"])
+        assert code == 1
 
 
 class TestPipeline:
-    def test_gen_dualspine_verify(self, runner):
-        gen = invoke(runner, ["gen", "--name", "T2_7"])
-        ds = invoke(runner, ["dual-spine", "--partition", "discrete"],
-                    input=gen.output)
-        assert ds.exit_code == 0
-        assert "# vertices: 14" in ds.output
-        vs = invoke(runner, ["verify-spine"], input=ds.output)
-        assert vs.exit_code == 0
-        assert "certificate: yes" in vs.output
-        assert "vertices: 14" in vs.output
+    def test_gen_dualspine_verify(self):
+        gen = _stdout(["gen", "--name", "T2_7"])
+        ds = _stdout(["dual-spine", "--partition", "discrete"], gen)
+        assert "# vertices: 14" in ds
+        vs = _stdout(["verify-spine"], ds)
+        assert "certificate: yes" in vs
+        assert "vertices: 14" in vs
 
     def test_real_subprocess_pipe(self):
         cli = f"{shlex.quote(sys.executable)} -m plspines"
@@ -79,115 +65,111 @@ class TestPipeline:
         assert "certificate: yes" in out.stdout
         assert "vertices: 4" in out.stdout
 
-    def test_verify_unknown_exits_2(self, runner):
-        gen = invoke(runner, ["gen", "--name", "RP2_6"])
-        ds = invoke(runner, ["dual-spine", "--partition", "one-vs-rest"],
-                    input=gen.output)
-        res = runner.invoke(main, ["verify-spine"], input=ds.output)
-        assert res.exit_code == 2
-        assert "certificate: unknown" in res.output
+    def test_verify_unknown_exits_2(self):
+        gen = _stdout(["gen", "--name", "RP2_6"])
+        ds = _stdout(["dual-spine", "--partition", "one-vs-rest"], gen)
+        code, out, _ = run_cli(["verify-spine"], ds)
+        assert code == 2
+        assert "certificate: unknown" in out
 
 
 class TestCommands:
-    def test_subdivide(self, runner):
-        gen = invoke(runner, ["gen", "--name", "S1_triangle"])
-        sub = invoke(runner, ["subdivide"], input=gen.output)
-        assert sub.exit_code == 0
-        lines = [l for l in sub.output.splitlines() if l and not l.startswith("#")]
+    def test_subdivide(self):
+        gen = _stdout(["gen", "--name", "S1_triangle"])
+        sub = _stdout(["subdivide"], gen)
+        lines = [l for l in sub.splitlines() if l and not l.startswith("#")]
         assert lines[0] == "dim 1"
         assert len(lines) == 7  # hexagon facets
 
-    def test_normal_discs(self, runner):
-        res = invoke(runner, ["normal-discs", "--n", "3"])
-        assert res.output.strip() == "total: 15 (5x(4,1), 10x(3,2))"
-        res2 = invoke(runner, ["normal-discs", "--n", "2"])
-        assert res2.output.strip() == "total: 7 (4x(3,1), 3x(2,2))"
+    def test_normal_discs(self):
+        assert _stdout(["normal-discs", "--n", "3"]).strip() == "total: 15 (5x(4,1), 10x(3,2))"
+        assert _stdout(["normal-discs", "--n", "2"]).strip() == "total: 7 (4x(3,1), 3x(2,2))"
 
-    def test_homology(self, runner):
-        res = invoke(runner, ["homology", "--name", "T2_7"])
-        assert res.output.strip() == "betti: 1 2 1"
-        res2 = invoke(runner, ["homology", "--name", "T2_7", "--k", "1"])
-        assert res2.output.strip() == "betti[1]: 2"
+    def test_homology(self):
+        assert _stdout(["homology", "--name", "T2_7"]).strip() == "betti: 1 2 1"
+        assert _stdout(["homology", "--name", "T2_7", "--k", "1"]).strip() == "betti[1]: 2"
 
-    def test_strata(self, runner):
-        res = invoke(runner, ["strata", "--name", "S2_tetra",
-                              "--partition", "discrete"])
-        assert "type 0 components: 4" in res.output
-        assert "type 1 components: 6" in res.output
-        assert "regions: 4" in res.output
+    def test_strata(self):
+        out = _stdout(["strata", "--name", "S2_tetra", "--partition", "discrete"])
+        assert "type 0 components: 4" in out
+        assert "type 1 components: 6" in out
+        assert "regions: 4" in out
 
-    def test_search_exhaustive(self, runner):
-        res = invoke(runner, ["search", "--name", "S2_tetra", "--exhaustive"])
-        assert "best_count: 0" in res.output
-        assert "proven_exhaustive: true" in res.output
+    def test_search_exhaustive(self):
+        out = _stdout(["search", "--name", "S2_tetra", "--exhaustive"])
+        assert "best_count: 0" in out
+        assert "proven_exhaustive: true" in out
 
-    def test_search_exhaustive_needs_budget(self, runner):
-        res = runner.invoke(
-            main, ["--budget", "1", "search", "--name", "S2_tetra", "--exhaustive"]
-        )
-        assert res.exit_code == 2
+    def test_search_exhaustive_needs_budget(self):
+        code, _, _ = run_cli(["--budget", "1", "search", "--name", "S2_tetra", "--exhaustive"])
+        assert code == 2
 
-    def test_search_inline_partition_input(self, runner):
-        res = invoke(runner, ["verify-spine", "--name", "S2_tetra",
-                              "--partition", "a,b|c,d"])
-        assert res.exit_code == 0
-        assert "vertices: 0" in res.output
+    def test_search_inline_partition_input(self):
+        out = _stdout(["verify-spine", "--name", "S2_tetra", "--partition", "a,b|c,d"])
+        assert "vertices: 0" in out
 
-    def test_nerve(self, runner):
-        res = invoke(runner, ["nerve", "--name", "S2_tetra",
-                              "--partition", "discrete"])
-        assert "nerve dim: 2" in res.output
-        assert "nerve-0or2: pass" in res.output
-        assert "nerve-dim-iff-vertices: pass" in res.output
+    def test_nerve(self):
+        out = _stdout(["nerve", "--name", "S2_tetra", "--partition", "discrete"])
+        assert "nerve dim: 2" in out
+        assert "nerve-0or2: pass" in out
+        assert "nerve-dim-iff-vertices: pass" in out
 
-    def test_drill(self, runner):
-        res = invoke(runner, ["--seed", "5", "drill", "--name", "S2_tetra",
-                              "--partition", "a,b|c,d", "--points", "2"])
-        assert res.exit_code == 0
-        assert res.output.count("vertices 0 -> 0") == 2
+    def test_drill(self):
+        out = _stdout(["--seed", "5", "drill", "--name", "S2_tetra",
+                       "--partition", "a,b|c,d", "--points", "2"])
+        assert out.count("vertices 0 -> 0") == 2
 
     @pytest.mark.parametrize("points", ["0", "-3"])
-    def test_drill_needs_a_point(self, runner, points):
-        res = runner.invoke(main, ["drill", "--name", "S2_tetra", "--partition",
-                                   "discrete", "--points", points])
-        assert res.exit_code == 1
-        assert res.stdout == ""
-        assert "--points must be at least 1" in res.stderr
+    def test_drill_needs_a_point(self, points):
+        code, out, err = run_cli(["drill", "--name", "S2_tetra", "--partition",
+                                  "discrete", "--points", points])
+        assert code == 1
+        assert out == ""
+        assert "--points must be at least 1" in err
 
-    def test_subdivide_rejects_negative_times(self, runner):
-        gen = invoke(runner, ["gen", "--name", "S1_triangle"])
-        res = runner.invoke(main, ["subdivide", "--times", "-1"], input=gen.output)
-        assert res.exit_code == 1
-        assert res.stdout == ""
-        assert "--times must be at least 0" in res.stderr
+    def test_subdivide_rejects_negative_times(self):
+        gen = _stdout(["gen", "--name", "S1_triangle"])
+        code, out, err = run_cli(["subdivide", "--times", "-1"], gen)
+        assert code == 1
+        assert out == ""
+        assert "--times must be at least 0" in err
 
-    def test_report(self, runner):
-        res = invoke(runner, ["report", "--name", "T2_7"])
-        assert res.exit_code == 0
+    def test_report(self):
+        out = _stdout(["report", "--name", "T2_7"])
         for line in ("manifold: T2_7", "vertices: 14", "certificate: yes",
                      "nerve-0or2: pass", "betti: 1 2 1"):
-            assert line in res.output
+            assert line in out
+
+    def test_help_names_every_command(self):
+        code, out, _ = run_cli(["--help"])
+        assert code == 0
+        first_words = {line.split()[0] for line in out.splitlines() if line.strip()}
+        assert {"gen", "subdivide", "dual-spine", "verify-spine", "strata", "search",
+                "nerve", "homology", "normal-discs", "drill", "report"} <= first_words
+
+    def test_report_help_shows_partition_default(self):
+        code, out, _ = run_cli(["report", "--help"])
+        assert code == 0
+        assert "the piped one, else discrete" in " ".join(out.split())
 
 
-def _piped_rp2_one_vs_rest(runner):
-    gen = invoke(runner, ["gen", "--name", "RP2_6"])
-    return invoke(runner, ["dual-spine", "--partition", "one-vs-rest"], input=gen.output).output
+def _piped_rp2_one_vs_rest():
+    gen = _stdout(["gen", "--name", "RP2_6"])
+    return _stdout(["dual-spine", "--partition", "one-vs-rest"], gen)
 
 
 class TestPartitionPrecedence:
-    def test_report_reads_the_piped_partition(self, runner):
-        res = runner.invoke(main, ["report"], input=_piped_rp2_one_vs_rest(runner))
-        assert res.exit_code == 2
-        assert "partition: p1 | p2 p3 p4 p5 p6\n" in res.stdout
-        assert "certificate: unknown\n" in res.stdout
+    def test_report_reads_the_piped_partition(self):
+        code, out, _ = run_cli(["report"], _piped_rp2_one_vs_rest())
+        assert code == 2
+        assert "partition: p1 | p2 p3 p4 p5 p6\n" in out
+        assert "certificate: unknown\n" in out
 
     @pytest.mark.parametrize("cmd", ["report", "verify-spine"])
-    def test_explicit_partition_overrides_the_piped_one(self, runner, cmd):
-        res = invoke(runner, [cmd, "--partition", "discrete"],
-                     input=_piped_rp2_one_vs_rest(runner))
-        assert res.exit_code == 0
-        assert "vertices: 10\n" in res.stdout
-        assert "certificate: yes\n" in res.stdout
+    def test_explicit_partition_overrides_the_piped_one(self, cmd):
+        out = _stdout([cmd, "--partition", "discrete"], _piped_rp2_one_vs_rest())
+        assert "vertices: 10\n" in out
+        assert "certificate: yes\n" in out
 
 
 PAIR_COMMANDS = {
@@ -203,17 +185,17 @@ PAIR_COMMANDS = {
 
 class TestExitCodes:
     @pytest.mark.parametrize("cmd,target", sorted(PAIR_COMMANDS.items()))
-    def test_invariant_violation_exits_3(self, runner, monkeypatch, cmd, target):
+    def test_invariant_violation_exits_3(self, monkeypatch, cmd, target):
         def broken(*args, **kwargs):
             raise InvariantViolation("injected")
 
         monkeypatch.setattr(target, broken)
-        res = runner.invoke(main, [cmd, "--name", "S2_tetra", "--partition", "discrete"])
-        assert res.exit_code == 3
-        assert res.stderr == "error: injected\n"
+        code, _, err = run_cli([cmd, "--name", "S2_tetra", "--partition", "discrete"])
+        assert code == 3
+        assert err == "error: injected\n"
 
     @pytest.mark.parametrize("cmd", ["nerve", "report"])
-    def test_failed_nerve_check_exits_3(self, runner, monkeypatch, cmd):
+    def test_failed_nerve_check_exits_3(self, monkeypatch, cmd):
         import plspines.nerve
 
         real = plspines.nerve.nerve_checks
@@ -223,35 +205,34 @@ class TestExitCodes:
             return dataclasses.replace(rep, pseudomanifold_ok=False, failures=("injected",))
 
         monkeypatch.setattr(plspines.nerve, "nerve_checks", failing)
-        res = runner.invoke(main, [cmd, "--name", "S2_tetra", "--partition", "discrete"])
-        assert res.exit_code == 3
-        assert "nerve-0or2: FAIL\n" in res.stdout
-        assert res.stderr == "error: injected\n"
+        code, out, err = run_cli([cmd, "--name", "S2_tetra", "--partition", "discrete"])
+        assert code == 3
+        assert "nerve-0or2: FAIL\n" in out
+        assert err == "error: injected\n"
 
     @pytest.mark.parametrize("cmd", ["nerve", "report"])
-    def test_arc_with_boundary_exits_0(self, runner, cmd):
+    def test_arc_with_boundary_exits_0(self, cmd):
         # nerve-0or2 is stated for closed manifold pairs; at an end of the
         # arc the nerve has a free vertex
-        res = runner.invoke(main, [cmd, "--partition", "discrete"], input="dim 1\na b\nb c\n")
-        assert res.exit_code == 0
-        assert "nerve-0or2: n/a (boundary)\n" in res.stdout
+        out = _stdout([cmd, "--partition", "discrete"], "dim 1\na b\nb c\n")
+        assert "nerve-0or2: n/a (boundary)\n" in out
 
-    def test_closed_non_manifold_exits_2(self, runner, tmp_path):
+    def test_closed_non_manifold_exits_2(self, tmp_path):
         # every region collapses, yet the wedge is not a manifold: no "yes"
         path = tmp_path / "wedge.cplx"
         path.write_text(format_complex(wedge_of_tetra_boundaries()))
-        res = runner.invoke(main, ["report", "--in", str(path)])
-        assert res.exit_code == 2
-        assert "certificate: unknown\n" in res.stdout
+        code, out, _ = run_cli(["report", "--in", str(path)])
+        assert code == 2
+        assert "certificate: unknown\n" in out
 
     @pytest.mark.parametrize("cmd", sorted([*PAIR_COMMANDS, "search"]))
-    def test_dimension_0_exits_1(self, runner, cmd):
+    def test_dimension_0_exits_1(self, cmd):
         # two points: valid input, but no dual spine and no search
         args = [cmd] if cmd == "search" else [cmd, "--partition", "discrete"]
-        res = runner.invoke(main, args, input="dim 0\na\nb\n")
-        assert res.exit_code == 1
-        assert res.stdout == ""
-        assert res.stderr.startswith("error: ")
+        code, out, err = run_cli(args, "dim 0\na\nb\n")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
 
     @pytest.mark.parametrize("cmd", ["gen", "search"])
     def test_unwritable_out_exits_1(self, tmp_path, cmd):
@@ -265,25 +246,25 @@ class TestExitCodes:
         assert out.stderr.startswith("error:")
 
     @pytest.mark.parametrize("cmd", sorted(PAIR_COMMANDS))
-    def test_bad_partition_spec_exits_1(self, runner, cmd):
-        res = runner.invoke(main, [cmd, "--name", "S2_tetra", "--partition", "a,zz"])
-        assert res.exit_code == 1
-        assert res.stderr.startswith("error: ")
+    def test_bad_partition_spec_exits_1(self, cmd):
+        code, _, err = run_cli([cmd, "--name", "S2_tetra", "--partition", "a,zz"])
+        assert code == 1
+        assert err.startswith("error: ")
 
     @pytest.mark.parametrize("cmd", ["homology", "search", "nerve"])
-    def test_in_with_name_exits_1(self, runner, tmp_path, cmd):
+    def test_in_with_name_exits_1(self, tmp_path, cmd):
         path = tmp_path / "t.cplx"
         path.write_text(format_complex(named_triangulation("S2_oct")))
-        res = runner.invoke(main, [cmd, "--in", str(path), "--name", "S2_tetra"])
-        assert res.exit_code == 1
-        assert res.stdout == ""
-        assert res.stderr == "error: give --in or --name, not both\n"
+        code, out, err = run_cli([cmd, "--in", str(path), "--name", "S2_tetra"])
+        assert code == 1
+        assert out == ""
+        assert err == "error: give --in or --name, not both\n"
 
-    def test_negative_budget_exits_1(self, runner):
-        res = runner.invoke(main, ["--budget", "-5", "search", "--name", "S2_tetra"])
-        assert res.exit_code == 1
-        assert res.stdout == ""
-        assert res.stderr == "error: --budget must be at least 0, got -5\n"
+    def test_negative_budget_exits_1(self):
+        code, out, err = run_cli(["--budget", "-5", "search", "--name", "S2_tetra"])
+        assert code == 1
+        assert out == ""
+        assert err == "error: --budget must be at least 0, got -5\n"
 
     @pytest.mark.parametrize("args", [
         pytest.param(["report", "--bogus"], id="command-option"),
@@ -291,23 +272,22 @@ class TestExitCodes:
         pytest.param(["nosuch"], id="command-name"),
         pytest.param(["drill", "--name", "S2_tetra", "--partition", "discrete",
                       "--points", "x"], id="option-value"),
+        pytest.param(["report", "--nam", "S3_pentachoron"], id="abbreviation"),
+        pytest.param(["--budget", "x", "report"], id="group-option-value"),
     ])
-    def test_usage_error_exits_1(self, runner, args):
+    def test_usage_error_exits_1(self, args):
         # exit 2 would read as "a certificate did not pass"
-        res = runner.invoke(main, args)
-        assert res.exit_code == 1
-        assert "Error: " in res.stderr
+        code, out, err = run_cli(args)
+        assert code == 1
+        assert out == ""
+        assert "error: " in err
 
     def test_report_input_error_prints_nothing(self):
-        # the discrete partition splits the disc's boundary; a subprocess,
-        # since click 8.1's CliRunner mixes stderr into stdout
-        out = subprocess.run(
-            [sys.executable, "-m", "plspines", "report", "--name", "D2_triangle"],
-            capture_output=True, text=True, timeout=120, env=_env(),
-        )
-        assert out.stdout == ""
-        assert out.returncode == 1
-        assert out.stderr.startswith("error: partition does not respect the boundary")
+        # the discrete partition splits the disc's boundary
+        code, out, err = run_cli(["report", "--name", "D2_triangle"])
+        assert out == ""
+        assert code == 1
+        assert err.startswith("error: partition does not respect the boundary")
 
     def test_closed_stdout_exits_141(self):
         # the reader keeps one line and goes away while the report still runs
@@ -323,40 +303,33 @@ class TestExitCodes:
 
 
 class TestFiles:
-    def test_partition_file_and_out(self, runner, tmp_path):
+    def test_partition_file_and_out(self, tmp_path):
         t_path = tmp_path / "t.cplx"
         p_path = tmp_path / "p.txt"
         spine_path = tmp_path / "spine.cplx"
-        gen = invoke(runner, ["gen", "--name", "S2_tetra"])
-        t_path.write_text(gen.output)
+        t_path.write_text(_stdout(["gen", "--name", "S2_tetra"]))
         p_path.write_text("a b\nc d\n")
-        res = invoke(runner, [
-            "--out", str(spine_path), "dual-spine",
-            "--in", str(t_path), "--partition", str(p_path),
-        ])
-        assert res.exit_code == 0
+        _stdout(["--out", str(spine_path), "dual-spine",
+                 "--in", str(t_path), "--partition", str(p_path)])
         from plspines import io as pio
         from helpers import is_closed_curve
 
         spine = pio.parse_complex(spine_path.read_text())
         assert is_closed_curve(spine)
 
-    def test_missing_partition_is_input_error(self, runner):
-        res = runner.invoke(main, ["verify-spine", "--name", "S2_tetra"])
-        assert res.exit_code == 1
+    def test_missing_partition_is_input_error(self):
+        code, _, _ = run_cli(["verify-spine", "--name", "S2_tetra"])
+        assert code == 1
 
 
 class TestDeterminism:
-    def test_byte_identical_reports(self, runner):
-        a = invoke(runner, ["--seed", "7", "report", "--name", "RP2_6"])
-        b = invoke(runner, ["--seed", "7", "report", "--name", "RP2_6"])
-        assert a.output == b.output
+    def test_byte_identical_reports(self):
+        args = ["--seed", "7", "report", "--name", "RP2_6"]
+        assert run_cli(args) == run_cli(args)
 
-    def test_byte_identical_search(self, runner):
+    def test_byte_identical_search(self):
         args = ["--seed", "3", "--budget", "300", "search", "--name", "S2_tetra"]
-        a = invoke(runner, args)
-        b = invoke(runner, args)
-        assert a.output == b.output
+        assert run_cli(args) == run_cli(args)
 
     @pytest.mark.parametrize(
         "args",
@@ -405,8 +378,10 @@ class TestDeterminism:
         assert outs[0] == outs[1]
 
 
-def test_cli_import_leaves_numpy_unloaded():
-    code = "import sys, plspines.cli; print('numpy' in sys.modules)"
+@pytest.mark.parametrize("module", ["numpy", "click"])
+def test_cli_import_leaves_module_unloaded(module):
+    # the CLI runs on the standard library: a launch pays for no other import
+    code = f"import sys, plspines.cli; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          timeout=120, env=_env(), check=True)
     assert out.stdout == "False\n"

@@ -10,9 +10,8 @@ alter output rewrites the affected files and says why.
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from plspines.cli import main
+from helpers import run_cli
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -83,6 +82,6 @@ JOBS = [
 
 @pytest.mark.parametrize("name,args,code", JOBS, ids=[j[0] for j in JOBS])
 def test_golden_output(name, args, code):
-    res = CliRunner().invoke(main, args, catch_exceptions=False)
-    assert res.exit_code == code
-    assert res.stdout == (GOLDEN / f"{name}.out").read_text()
+    exit_code, stdout, _ = run_cli(args)
+    assert exit_code == code
+    assert stdout == (GOLDEN / f"{name}.out").read_text()

@@ -5,7 +5,6 @@ import random
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +21,6 @@ from plspines.core import (
     derived_vertex_label,
     from_facets,
 )
-from plspines.cli import main
 from plspines.homology import betti
 from plspines.io import parse_complex
 from plspines.models import catalogue_names, named_triangulation
@@ -46,6 +44,7 @@ from helpers import (
     prenerve_simplicial_map,
     rainbow_top_chain_count,
     random_simplicial_map,
+    run_cli,
     stein_checks,
     stein_h,
     stein_h_assignment,
@@ -292,8 +291,8 @@ class TestSteinOnFacePoset:
             t, args = parse_complex(path.read_text()), ["--in", str(path)]
         else:
             t, args = named_triangulation(name), ["--name", name]
-        result = CliRunner().invoke(main, [command, *args, "--partition", "discrete"])
-        assert result.exit_code == 0, result.output
+        code, _, err = run_cli([command, *args, "--partition", "discrete"])
+        assert code == 0, err
         t1 = real(t).complex
         assert seen and all(cx != t1 for cx in seen)
 
