@@ -1,17 +1,19 @@
-"""Command-line front end.
+"""Command-line front end: it parses options, calls the package and prints.
 
 Commands print deterministic text reports; complexes travel between
 pipelined commands in the canonical text format (with an optional inline
 partition section).  Commands on a pair (complex, partition) take
-``--in``/``--name`` and ``--partition``; the partition is ``--partition``
-if given, else the one piped in with the complex, else the command's
-default (``discrete`` for ``report``; the others exit 1).  Exit codes,
-mapped once by ``main`` for every command: 0 success, 1 input error
-(usage errors included: they print the usage line first), 2 a certificate
-or check did not pass, 3 an internal invariant was violated (a theorem
-check failed, which means a bug), 141 stdout was closed before the report
-was written (128 + SIGPIPE, as a shell reports a producer cut off by a
-closed pipe).  Errors print ``error: <message>`` on stderr.
+``--in``/``--name`` and ``--partition`` and read the pair with ``_pair``;
+the partition is ``--partition`` if given, else the one piped in with the
+complex, else the command's default (``discrete`` for ``report``; the
+others exit 1).  What a report says, such as whether ``nerve-0or2``
+applies, is decided in the package.  Exit codes, mapped once by ``main``
+for every command: 0 success, 1 input error (usage errors included: they
+print the usage line first), 2 a certificate or check did not pass, 3 an
+internal invariant was violated (a theorem check failed, which means a
+bug), 141 stdout was closed before the report was written (128 + SIGPIPE,
+as a shell reports a producer cut off by a closed pipe).  Errors print
+``error: <message>`` on stderr.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from plspines.partitions import (
     single_class,
     vertex_partition,
 )
-from plspines.recognize import boundary_complex, euler_characteristic
+from plspines.recognize import euler_characteristic
 from plspines.search import search_min_vertices
 from plspines.spine import dual_spine, verify_spine
 from plspines.strata import stratum_components
@@ -63,27 +65,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"error: {message}\n")
 
 
-# (name, function, options) of each subcommand, in the order of this file
-_COMMANDS: list[tuple] = []
-
-
-def command(*options, name: str | None = None):
-    """Make the decorated function the subcommand ``name`` (default: the
-    function's name), called with the parsed options; each of ``options``
-    adds arguments to the subcommand's parser."""
-
-    def register(fn):
-        _COMMANDS.append((name or fn.__name__, fn, options))
-        return fn
-
-    return register
-
-
-def _arg(*flags, **kwargs):
-    """An option of a subcommand: one ``add_argument`` call."""
-    return lambda sp: sp.add_argument(*flags, **kwargs)
-
-
 def _read_file(path: str) -> str:
     """Text of an input file; an unreadable file is an input error."""
     try:
@@ -114,37 +95,18 @@ def _parse_partition(t: Complex, spec: str) -> VertexPartition:
     return pio.parse_partition(_read_file(spec), t)
 
 
-def _in_name(sp) -> None:
-    """Options --in and --name; with neither, the command reads stdin."""
-    sp.add_argument("--in", dest="in_path", metavar="PATH")
-    sp.add_argument("--name")
-
-
-def pair_input(default: str | None = None):
-    """Give a subcommand --in, --name and --partition; it is called with the
-    parsed options, then the complex and partition they name.
-
-    The partition is --partition if given, else the piped one, else
-    ``default``; with none of them the command exits 1.
-    """
-    fallback = "the piped one" + (f", else {default}" if default else "")
-
-    def resolve(opts):
-        t, piped = _read_input(opts.in_path, opts.name)
-        if opts.partition is not None:
-            return t, _parse_partition(t, opts.partition)
-        if piped is not None:
-            return t, piped
-        if default is not None:
-            return t, _parse_partition(t, default)
+def _pair(opts, default: str | None = None) -> tuple[Complex, VertexPartition]:
+    """The complex and partition a pair command names.  The partition is
+    --partition if given, else the piped one, else ``default``; with none
+    of them the command exits 1."""
+    t, piped = _read_input(opts.in_path, opts.name)
+    if opts.partition is not None:
+        return t, _parse_partition(t, opts.partition)
+    if piped is not None:
+        return t, piped
+    if default is None:
         raise ValueError("no partition given (use --partition)")
-
-    def add(sp):
-        _in_name(sp)
-        sp.add_argument("--partition", help=f"Vertex partition; default: {fallback}.")
-        sp.set_defaults(pair=resolve)
-
-    return add
+    return t, _parse_partition(t, default)
 
 
 def _write_out(out: str | None, text: str) -> None:
@@ -164,17 +126,15 @@ def _echo_strata(comps, d: int) -> None:
     _echo(f"regions: {sum(1 for c in comps if c.type == d)}")
 
 
-def _echo_nerve_checks(rep, closed: bool) -> bool:
-    """Print the nerve checks; return whether those that apply pass.
-    ``nerve-0or2`` is stated for closed manifold pairs only."""
-    pseudo = ("pass" if rep.pseudomanifold_ok else "FAIL") if closed else "n/a (boundary)"
+def _echo_nerve_checks(rep) -> None:
+    """Print the nerve checks; ``nerve-0or2`` is n/a when it does not apply."""
+    pseudo = {True: "pass", False: "FAIL", None: "n/a (boundary)"}[rep.pseudomanifold_ok]
     _echo(f"nerve-0or2: {pseudo}")
     _echo(f"nerve-dim-iff-vertices: {'pass' if rep.dim_iff_vertices_ok else 'FAIL'}")
-    return rep.ok if closed else rep.dim_iff_vertices_ok
 
 
 def _parser(prog: str) -> _Parser:
-    """The group's options, then one subparser per registered command."""
+    """The group's options, then one subparser per command, in help order."""
     parser = _Parser(prog=prog, description=main.__doc__, allow_abbrev=False)
     parser.add_argument("--seed", type=int, default=0, help="RNG seed. [default: %(default)s]")
     parser.add_argument("--budget", type=int, default=100_000,
@@ -182,12 +142,39 @@ def _parser(prog: str) -> _Parser:
                         "else the discrete partition. [default: %(default)s]")
     parser.add_argument("--out", help="Optional output file.")
     commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
-    for name, fn, options in _COMMANDS:
-        doc = " ".join(fn.__doc__.split())
-        sp = commands.add_parser(name, help=doc, description=doc, allow_abbrev=False)
-        sp.set_defaults(run=fn)
-        for add in options:
-            add(sp)
+
+    def add(run, name=None, inputs=False, partition=None):
+        """Subcommand ``name`` (default: run's name) calling ``run(opts)``;
+        ``inputs`` gives it --in and --name, and ``partition``, the help's
+        default, also --partition."""
+        doc = " ".join(run.__doc__.split())
+        sp = commands.add_parser(name or run.__name__, help=doc, description=doc,
+                                 allow_abbrev=False)
+        sp.set_defaults(run=run)
+        if inputs or partition:
+            sp.add_argument("--in", dest="in_path", metavar="PATH")
+            sp.add_argument("--name")
+        if partition:
+            sp.add_argument("--partition", help=f"Vertex partition; default: {partition}.")
+        return sp
+
+    piped = "the piped one"
+    add(gen).add_argument("--name", required=True, help="Catalogue name.")
+    sp = add(subdivide)
+    sp.add_argument("--in", dest="in_path", metavar="PATH")
+    sp.add_argument("--times", type=int, default=1, help="[default: %(default)s]")
+    add(dual_spine_cmd, "dual-spine", partition=piped)
+    add(verify_spine_cmd, "verify-spine", partition=piped)
+    add(strata, partition=piped)
+    add(search, inputs=True).add_argument(
+        "--exhaustive", action="store_true", help="Require a proven-exhaustive search.")
+    add(nerve, partition=piped)
+    add(homology, inputs=True).add_argument("--k", type=int, help="Single homology degree.")
+    add(normal_discs, "normal-discs").add_argument("--n", type=int, required=True)
+    add(drill, partition=piped).add_argument(
+        "--points", type=int, default=1,
+        help="Number of seeded off-1-skeleton drill points. [default: %(default)s]")
+    add(report, partition=f"{piped}, else discrete")
     return parser
 
 
@@ -197,7 +184,7 @@ def main(args: list[str] | None = None, prog_name: str = "plspines") -> None:
     try:
         if opts.budget < 0:
             raise ValueError(f"--budget must be at least 0, got {opts.budget}")
-        opts.run(opts, *(opts.pair(opts) if "pair" in opts else ()))
+        opts.run(opts)
     except InvariantViolation as e:
         _fail(str(e), EXIT_BUG)
     except ValueError as e:
@@ -213,7 +200,6 @@ def main(args: list[str] | None = None, prog_name: str = "plspines") -> None:
 main.main = main
 
 
-@command(_arg("--name", required=True, help="Catalogue name."))
 def gen(opts):
     """Emit a catalogued triangulation in the canonical format."""
     text = pio.format_complex(named_triangulation(opts.name), comments=[f"name: {opts.name}"])
@@ -221,8 +207,6 @@ def gen(opts):
     _write_out(opts.out, text)
 
 
-@command(_arg("--in", dest="in_path", metavar="PATH"),
-         _arg("--times", type=int, default=1, help="[default: %(default)s]"))
 def subdivide(opts):
     """Derived (barycentric) subdivision of a complex."""
     if opts.times < 0:
@@ -235,10 +219,10 @@ def subdivide(opts):
     _write_out(opts.out, text)
 
 
-@command(pair_input(), name="dual-spine")
-def dual_spine_cmd(opts, t, p):
+def dual_spine_cmd(opts):
     """Build the dual spine; emits the input with its partition for piping,
     report lines as comments, and writes the spine complex to --out."""
+    t, p = _pair(opts)
     s = dual_spine(t, p)
     spine_cx = s.as_complex()
     comments = [
@@ -251,10 +235,10 @@ def dual_spine_cmd(opts, t, p):
         _write_out(opts.out, pio.format_complex(spine_cx))
 
 
-@command(pair_input(), name="verify-spine")
-def verify_spine_cmd(opts, t, p):
+def verify_spine_cmd(opts):
     """Certify the spine: each complement region is a ball, or a collar on
     the boundary, decided on its class's span where the span can."""
+    t, p = _pair(opts)
     cert = verify_spine(dual_spine(t, p), seed=opts.seed)
     _echo(f"certificate: {cert.certificate}")
     _echo(f"vertices: {cert.vertices}")
@@ -266,9 +250,9 @@ def verify_spine_cmd(opts, t, p):
         sys.exit(EXIT_CHECK)
 
 
-@command(pair_input())
-def strata(opts, t, p):
+def strata(opts):
     """Stratum components of the dual spine, by type."""
+    t, p = _pair(opts)
     s = dual_spine(t, p)
     comps = stratum_components(s)
     _echo(f"spine cells: {len(s.cells)}")
@@ -276,8 +260,6 @@ def strata(opts, t, p):
     _echo_strata(comps, t.dim)
 
 
-@command(_in_name,
-         _arg("--exhaustive", action="store_true", help="Require a proven-exhaustive search."))
 def search(opts):
     """Minimize the spine vertex count over certified partitions."""
     t, _ = _read_input(opts.in_path, opts.name)
@@ -292,23 +274,23 @@ def search(opts):
         _write_out(opts.out, pio.format_partition(res.best_partition))
 
 
-@command(pair_input())
-def nerve(opts, t, p):
+def nerve(opts):
     """Pre-nerve and nerve of the pair, with the structural checks."""
     from plspines.nerve import nerve as nerve_fn
     from plspines.nerve import nerve_checks
 
+    t, p = _pair(opts)
     s = dual_spine(t, p)
     np_ = nerve_fn(s)
     _echo(f"prenerve f-vector: {' '.join(map(str, np_.prenerve.f_vector()))}")
     _echo(f"nerve f-vector: {' '.join(map(str, np_.nerve.f_vector()))}")
     _echo(f"nerve dim: {np_.nerve.dim}")
-    rep = nerve_checks(np_, s.vertex_count, t.dim)
-    if not _echo_nerve_checks(rep, boundary_complex(t).is_empty):
+    rep = nerve_checks(np_, s)
+    _echo_nerve_checks(rep)
+    if not rep.ok:
         raise InvariantViolation("; ".join(rep.failures))
 
 
-@command(_in_name, _arg("--k", type=int, help="Single homology degree."))
 def homology(opts):
     """Betti numbers over the two-element field."""
     cx, _ = _read_input(opts.in_path, opts.name)
@@ -320,7 +302,6 @@ def homology(opts):
         _echo("betti: " + " ".join(map(str, betti_all(cx))))
 
 
-@command(_arg("--n", type=int, required=True), name="normal-discs")
 def normal_discs(opts):
     """Census of normal discs in the (n+1)-simplex."""
     discs = enumerate_normal_discs(opts.n)
@@ -331,10 +312,9 @@ def normal_discs(opts):
     _echo(f"total: {len(discs)} ({parts})")
 
 
-@command(pair_input(), _arg("--points", type=int, default=1, help="Number of seeded "
-                            "off-1-skeleton drill points. [default: %(default)s]"))
-def drill(opts, t, p):
+def drill(opts):
     """Drill the dual spine at seeded points off its 1-skeleton."""
+    t, p = _pair(opts)
     if opts.points < 1:
         raise ValueError(f"--points must be at least 1, got {opts.points}")
     from plspines.drill import drill as drill_fn
@@ -358,13 +338,13 @@ def drill(opts, t, p):
         raise InvariantViolation("off-skeleton drilling changed the vertex count")
 
 
-@command(pair_input(default="discrete"))
-def report(opts, t, p):
+def report(opts):
     """Full pipeline for one manifold: spine, certificate, strata, nerve,
     checks, and homology, as one summary."""
     from plspines.homology import betti_all
     from plspines.nerve import component_poset, nerve_checks, nerve_of_poset
 
+    t, p = _pair(opts, "discrete")
     s = dual_spine(t, p)  # an input error leaves stdout empty
     if opts.name:
         _echo(f"manifold: {opts.name}")
@@ -379,10 +359,10 @@ def report(opts, t, p):
     _echo_strata(comps, t.dim)
     np_ = nerve_of_poset(t, component_poset(comps))
     _echo(f"nerve dim: {np_.nerve.dim}")
-    rep = nerve_checks(np_, s.vertex_count, t.dim)
-    nerve_ok = _echo_nerve_checks(rep, boundary_complex(t).is_empty)
+    rep = nerve_checks(np_, s)
+    _echo_nerve_checks(rep)
     _echo("betti: " + " ".join(map(str, betti_all(t))))
-    if not nerve_ok:
+    if not rep.ok:
         raise InvariantViolation("; ".join(rep.failures))
     if not cert.is_yes:
         sys.exit(EXIT_CHECK)

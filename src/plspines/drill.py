@@ -33,7 +33,6 @@ from plspines.core import (
     subcomplex_spanned,
     vertex_links,
 )
-from plspines.recognize import boundary_complex
 from plspines.spine import SpineComplex
 from plspines.strata import classify_all_links, classify_point_link
 
@@ -190,8 +189,7 @@ def eligible_drill_vertices(ctx: DrillContext) -> tuple[str, ...]:
     for cell, tp in s.cell_type.items():
         if tp <= 1:
             skel.update(cell)
-    bd = boundary_complex(s.ambient)
-    bd_vertices = {s.derived.vertex_of_face[f] for f in bd.faces}
+    bd_vertices = {s.derived.vertex_of_face[f] for f in s.boundary.faces}
     return tuple(
         v
         for v in s.derived.complex.vertices

@@ -12,9 +12,6 @@ from __future__ import annotations
 from plspines.core import Complex, from_facets
 from plspines.partitions import VertexPartition, vertex_partition
 
-class InputFormatError(ValueError):
-    pass
-
 
 def _clean_lines(text: str) -> list[str]:
     out = []
@@ -28,23 +25,20 @@ def _clean_lines(text: str) -> list[str]:
 def parse_complex(text: str) -> Complex:
     lines = _clean_lines(text)
     if not lines:
-        raise InputFormatError("empty complex document")
+        raise ValueError("empty complex document")
     header = lines[0].split()
     if len(header) != 2 or header[0] != "dim":
-        raise InputFormatError(f"expected 'dim <d>' header, got {lines[0]!r}")
+        raise ValueError(f"expected 'dim <d>' header, got {lines[0]!r}")
     try:
         dim = int(header[1])
     except ValueError:
-        raise InputFormatError(f"bad dimension {header[1]!r}") from None
+        raise ValueError(f"bad dimension {header[1]!r}") from None
     facets = [line.split() for line in lines[1:]]
     if not facets:
-        raise InputFormatError("complex document has no faces")
-    try:
-        cx = from_facets(facets)
-    except ValueError as e:
-        raise InputFormatError(str(e)) from None
+        raise ValueError("complex document has no faces")
+    cx = from_facets(facets)
     if cx.dim != dim:
-        raise InputFormatError(f"header says dim {dim} but faces have dim {cx.dim}")
+        raise ValueError(f"header says dim {dim} but faces have dim {cx.dim}")
     return cx
 
 
@@ -59,11 +53,8 @@ def format_complex(cx: Complex, comments: list[str] | None = None) -> str:
 def parse_partition(text: str, base: Complex) -> VertexPartition:
     lines = _clean_lines(text)
     if not lines:
-        raise InputFormatError("empty partition document")
-    try:
-        return vertex_partition(base, [line.split() for line in lines])
-    except ValueError as e:
-        raise InputFormatError(str(e)) from None
+        raise ValueError("empty partition document")
+    return vertex_partition(base, [line.split() for line in lines])
 
 
 def format_partition(p: VertexPartition) -> str:

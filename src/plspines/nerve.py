@@ -423,44 +423,39 @@ def nerve(s: SpineComplex) -> NervePair:
 
 @dataclass(frozen=True)
 class NerveReport:
-    ambient_dim: int
     nerve_dim: int
-    vertex_count: int
-    pseudomanifold_ok: bool
+    pseudomanifold_ok: bool | None  # None: T has boundary, the check does not apply
     dim_iff_vertices_ok: bool
-    failures: tuple[str, ...]
+    failures: tuple[str, ...]  # of the checks that apply
 
     @property
     def ok(self) -> bool:
-        return self.pseudomanifold_ok and self.dim_iff_vertices_ok
+        return not self.failures
 
 
-def nerve_checks(np_: NervePair, vertex_count: int, ambient_dim: int) -> NerveReport:
-    """Verify the structural facts about the nerve of a closed manifold pair:
-    every codimension-1 simplex bounds zero or two top simplexes, the nerve
-    dimension never exceeds the ambient one, and equality holds exactly when
-    the spine has vertices."""
+def nerve_checks(np_: NervePair, s: SpineComplex) -> NerveReport:
+    """Verify the structural facts about the nerve of the pair (T, s): the
+    nerve dimension never exceeds d = dim T, and equality holds exactly
+    when the spine has vertices.  The closed-manifold theorem, that every
+    codimension-1 simplex bounds zero or two top simplexes, is checked only
+    when T is closed; with a boundary ``pseudomanifold_ok`` is None."""
     n = np_.nerve
-    d = ambient_dim
-    counts = ridge_incidence(n, d)
-    failures = [
-        f"codim-1 simplex {s} meets {counts[s]} top simplexes"
-        for s in sorted(s for s, c in counts.items() if c not in (0, 2))
-    ]
-    pseudo_ok = not failures
+    d = s.ambient.dim
+    failures = []
+    pseudo_ok = None
+    if s.boundary.is_empty:
+        counts = ridge_incidence(n, d)
+        failures = [
+            f"codim-1 simplex {f} meets {counts[f]} top simplexes"
+            for f in sorted(f for f, c in counts.items() if c not in (0, 2))
+        ]
+        pseudo_ok = not failures
     if n.dim > d:
         failures.append(f"nerve dim {n.dim} exceeds ambient dim {d}")
-    dim_iff = (n.dim == d) == (vertex_count > 0)
+    dim_iff = (n.dim == d) == (s.vertex_count > 0)
     if not dim_iff:
         failures.append(
             f"nerve dim {n.dim} vs ambient {d} inconsistent with "
-            f"vertex count {vertex_count}"
+            f"vertex count {s.vertex_count}"
         )
-    return NerveReport(
-        ambient_dim=d,
-        nerve_dim=n.dim,
-        vertex_count=vertex_count,
-        pseudomanifold_ok=pseudo_ok,
-        dim_iff_vertices_ok=dim_iff,
-        failures=tuple(failures),
-    )
+    return NerveReport(n.dim, pseudo_ok, dim_iff, tuple(failures))

@@ -118,12 +118,12 @@ def classify_graph(g: Complex) -> str | None:
 
 
 def _is_sphere(cx: Complex, k: int) -> bool:
-    """Two points for k = 0; for k = 1, 2 a connected closed k-manifold,
-    with Euler characteristic 2 when k = 2."""
-    if k == 0:
-        return cx.dim == 0 and len(cx.faces) == 2
-    closed = cx.dim == k and is_connected(cx) and is_closed_manifold(cx)
-    return closed and (k == 1 or euler_characteristic(cx) == 2)
+    """Two points for k = 0, a circle for k = 1 (``classify_graph``); for
+    k = 2 a connected closed surface with Euler characteristic 2."""
+    if k < 2:
+        return classify_graph(cx) == ("points2", "circle")[k]
+    closed = cx.dim == 2 and is_connected(cx) and is_closed_manifold(cx)
+    return closed and euler_characteristic(cx) == 2
 
 
 def is_closed_manifold(cx: Complex) -> bool:

@@ -7,9 +7,11 @@ classes, and its type is d + 1 minus that number of classes, both read in
 one pass over T' by ``assign_types``.  ``dual_spine`` checks the pair once
 (T pure of dimension at least 1, the partition respecting its boundary),
 so a ``SpineComplex`` is a checked spine and ``verify_spine`` takes it as
-is.  The tests check the rule against the literal union-of-links
-construction (``dual_cells_direct`` in ``tests/helpers.py``) and each
-cell's type against the link of its barycenter, classified by ``strata``.
+is.  The boundary of T that the check computes is kept as ``boundary``,
+and every consumer reads it there.  The tests check the rule against the
+literal union-of-links construction (``dual_cells_direct`` in
+``tests/helpers.py``) and each cell's type against the link of its
+barycenter, classified by ``strata``.
 
 A dual spine is a spine when each complement region is a ball (a collar
 where it meets the boundary).  A region component is a regular
@@ -25,14 +27,12 @@ from typing import Mapping
 
 from plspines.collapse import collapses_onto, collapses_to_point
 from plspines.core import (
-    EMPTY,
     Complex,
     DerivedComplex,
     Face,
     InvariantViolation,
     connected_components,
     derived,
-    derived_image,
     regular_neighborhood,
     subcomplex_spanned,
 )
@@ -42,7 +42,8 @@ from plspines.recognize import boundary_complex, euler_characteristic, is_closed
 
 @dataclass(frozen=True, eq=False)
 class SpineComplex:
-    """Checked dual spine (see ``dual_spine``): typed cells of T', vertex count."""
+    """Checked dual spine (see ``dual_spine``): typed cells of T', vertex
+    count, and the boundary of T (empty when T is closed)."""
 
     ambient: Complex
     derived: DerivedComplex
@@ -50,6 +51,7 @@ class SpineComplex:
     cells: frozenset[Face]
     cell_type: Mapping[Face, int]
     vertex_count: int
+    boundary: Complex
 
     def as_complex(self) -> Complex:
         return Complex(self.cells)
@@ -81,11 +83,10 @@ def assign_types(
     return types
 
 
-def check_boundary_respect(t: Complex, p: VertexPartition) -> None:
-    """Each boundary component's vertices must lie in one class."""
+def check_boundary_respect(t: Complex, p: VertexPartition) -> Complex:
+    """The boundary of t, once each of its components' vertices are found
+    to lie in one class."""
     bd = boundary_complex(t)
-    if bd.is_empty:
-        return
     for comp in connected_components(bd):
         classes = {p.class_of[v] for v in comp.vertices}
         if len(classes) > 1:
@@ -93,6 +94,7 @@ def check_boundary_respect(t: Complex, p: VertexPartition) -> None:
                 "partition does not respect the boundary: component with "
                 f"vertices {comp.vertices[:4]}... meets {len(classes)} classes"
             )
+    return bd
 
 
 def vertex_count(t: Complex, p: VertexPartition) -> int:
@@ -115,7 +117,7 @@ def dual_spine(t: Complex, p: VertexPartition) -> SpineComplex:
         raise ValueError("triangulation is not pure")
     if p.base.faces != t.faces:
         raise ValueError("partition is not over this complex")
-    check_boundary_respect(t, p)
+    bd = check_boundary_respect(t, p)
     dt = derived(t)
     count = vertex_count(t, p)
     types = assign_types(dt, p, count)
@@ -126,6 +128,7 @@ def dual_spine(t: Complex, p: VertexPartition) -> SpineComplex:
         cells=frozenset(types),
         cell_type=types,
         vertex_count=count,
+        boundary=bd,
     )
 
 
@@ -137,12 +140,10 @@ def region_of_class(t: Complex, cls: frozenset[str]) -> Complex:
     return regular_neighborhood(subcomplex_spanned(t, cls), t)
 
 
-def boundary_in_t2(t: Complex) -> Complex:
-    """The boundary of t re-expressed in T''; empty when t is closed."""
-    bd = boundary_complex(t)
-    if bd.is_empty:
-        return EMPTY
-    return derived(derived_image(derived(t), bd)).complex
+def boundary_in_t2(bd: Complex) -> Complex:
+    """``bd``, the boundary of t, re-expressed in T'' (its second derived
+    subdivision); empty when t is closed."""
+    return derived(derived(bd).complex).complex
 
 
 # -- spine certificate -------------------------------------------------------
@@ -197,7 +198,7 @@ def certify_span_component(
         if collapses_to_point(comp, seed=seed):
             return "ball", True, len(comp.faces)
     region = region_of_class(t, frozenset(comp.vertices))
-    return certify_region_component(region, boundary_in_t2(t), seed=seed)
+    return certify_region_component(region, boundary_in_t2(boundary), seed=seed)
 
 
 def verify_spine(s: SpineComplex, seed: int = 0) -> SpineCertificate:
@@ -208,8 +209,7 @@ def verify_spine(s: SpineComplex, seed: int = 0) -> SpineCertificate:
     ``is_closed_manifold`` too: in a pseudomanifold a collapsible region
     need not be a ball.  Input with a boundary gets no manifold check.
     """
-    t = s.ambient
-    bd = boundary_complex(t)
+    t, bd = s.ambient, s.boundary
     reports = tuple(
         RegionReport(ci, ki, *certify_span_component(t, comp, bd, seed=seed))
         for ci, cls in enumerate(s.partition.classes)

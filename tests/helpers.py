@@ -59,6 +59,7 @@ from plspines.nerve import (
 )
 from plspines.partitions import VertexPartition, vertex_partition
 from plspines.recognize import (
+    boundary_complex,
     classify_graph,
     euler_characteristic,
     is_closed_pseudomanifold,
@@ -487,7 +488,7 @@ def unchecked_spine(t: Complex, p: VertexPartition) -> SpineComplex:
     dt = derived(t)
     count = vertex_count(t, p)
     types = assign_types(dt, p, count)
-    return SpineComplex(t, dt, p, frozenset(types), types, count)
+    return SpineComplex(t, dt, p, frozenset(types), types, count, boundary_complex(t))
 
 
 def _cell_point_link(cell: Face, spine_cx: Complex) -> Complex:

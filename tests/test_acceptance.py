@@ -167,8 +167,7 @@ def test_criterion_8_nerve_theorems_on_catalogue():
         if not verify_spine(dual_spine(t, p)).is_yes:
             continue
         s = dual_spine(t, p)
-        np_ = nerve(dual_spine(t, p))
-        rep = nerve_checks(np_, s.vertex_count, t.dim)
+        rep = nerve_checks(nerve(s), s)
         assert rep.pseudomanifold_ok, (name, label, rep.failures)
         assert rep.dim_iff_vertices_ok, (name, label, rep.failures)
         checked += 1

@@ -140,6 +140,30 @@ class TestCommands:
                      "nerve-0or2: pass", "betti: 1 2 1"):
             assert line in out
 
+    @pytest.mark.parametrize("name,partition", [("T2_7", "discrete"), ("D2_triangle", "single")])
+    def test_report_computes_the_boundary_once(self, monkeypatch, name, partition):
+        # dual_spine computes the boundary for its check; the spine
+        # certificate, its region fallbacks and the nerve checks read it off
+        # the spine.  The modules report imports late are loaded first, so
+        # every binding is counted
+        import plspines.homology
+        import plspines.nerve
+        import plspines.recognize
+
+        real = plspines.recognize.boundary_complex
+        calls = []
+
+        def counted(cx):
+            calls.append(cx)
+            return real(cx)
+
+        for mod in list(sys.modules.values()):
+            if mod.__name__.startswith("plspines") and getattr(mod, "boundary_complex", None) is real:
+                monkeypatch.setattr(mod, "boundary_complex", counted)
+        _, out, _ = run_cli(["report", "--name", name, "--partition", partition])
+        assert "betti: " in out
+        assert len(calls) == 1
+
     def test_help_names_every_command(self):
         code, out, _ = run_cli(["--help"])
         assert code == 0
@@ -403,6 +427,18 @@ def test_homology_and_report_leave_numpy_unloaded():
                          timeout=120, env=_env(), check=True)
     assert out.stdout.count("betti: 1 2 1\n") == 2
     assert out.stdout.splitlines()[-1] == "False"
+
+
+@pytest.mark.parametrize("golden,args", [
+    ("report_S3_pentachoron", ["report", "--name", "S3_pentachoron"]),
+    ("search_genus2_10", ["search", "--name", "genus2_10"]),
+])
+def test_module_entry_point_matches_golden(golden, args):
+    # every benchmark job launches the CLI as `python -m plspines.cli`
+    out = subprocess.run([sys.executable, "-m", "plspines.cli", "--seed", "0", *args],
+                         capture_output=True, text=True, timeout=120, env=_env())
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == (Path(__file__).parent / "golden" / f"{golden}.out").read_text()
 
 
 def test_traced_harness_names_resolve():

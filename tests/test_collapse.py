@@ -14,7 +14,7 @@ from plspines.collapse import (
 from plspines.core import connected_components, derived, from_facets
 from plspines.models import named_triangulation, simplex
 from plspines.partitions import single_class
-from plspines.recognize import euler_characteristic
+from plspines.recognize import boundary_complex, euler_characteristic
 from plspines.search import search_min_vertices
 from helpers import random_complex, regions, validate_complex
 
@@ -154,7 +154,7 @@ def _single_class_component(name):
     t = named_triangulation(name)
     ((_, mv),) = regions(spine.dual_spine(t, single_class(t)))
     (comp,) = connected_components(mv)
-    return comp, spine.boundary_in_t2(t)
+    return comp, spine.boundary_in_t2(boundary_complex(t))
 
 
 def test_torus_search_certifies_with_at_most_one_run_each(greedy_runs, monkeypatch):

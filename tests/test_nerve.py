@@ -33,7 +33,7 @@ from plspines.nerve import (
 )
 from plspines.partitions import discrete, one_vs_rest, single_class
 from plspines.search import search_min_vertices
-from plspines.spine import dual_spine, vertex_count
+from plspines.spine import dual_spine
 from plspines.strata import stratum_components
 from helpers import (
     is_arc,
@@ -387,15 +387,25 @@ class TestNerve:
 
 
 class TestNerveChecks:
+    def test_arc_with_boundary(self):
+        # nerve-0or2 is a theorem about closed pairs: it does not apply,
+        # and the nerve's free end vertex is no failure
+        t = parse_complex("dim 1\na b\nb c\n")
+        s = dual_spine(t, discrete(t))
+        rep = nerve_checks(nerve(s), s)
+        assert rep.pseudomanifold_ok is None
+        assert rep.ok
+        assert rep.failures == ()
+
     def test_equator_report(self, sphere2, equator_partition):
-        np_ = nerve(dual_spine(sphere2, equator_partition))
-        rep = nerve_checks(np_, 0, 2)
+        s = dual_spine(sphere2, equator_partition)
+        rep = nerve_checks(nerve(s), s)
         assert rep.ok
         assert rep.nerve_dim == 1
 
     def test_k4_report(self, sphere2):
-        np_ = nerve(dual_spine(sphere2, discrete(sphere2)))
-        rep = nerve_checks(np_, 4, 2)
+        s = dual_spine(sphere2, discrete(sphere2))
+        rep = nerve_checks(nerve(s), s)
         assert rep.ok
         assert rep.nerve_dim == 2
 
@@ -405,8 +415,8 @@ class TestNerveChecks:
         p = vertex_partition(
             torus7, [["t0"], ["t1", "t2", "t4"], ["t3", "t5", "t6"]]
         )
-        np_ = nerve(dual_spine(torus7, p))
-        rep = nerve_checks(np_, vertex_count(torus7, p), 2)
+        s = dual_spine(torus7, p)
+        rep = nerve_checks(nerve(s), s)
         assert rep.ok
         assert rep.nerve_dim == 2
 

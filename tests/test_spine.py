@@ -7,7 +7,7 @@ from plspines.collapse import collapses_to_point
 from plspines.core import derived, from_facets, join, suspension
 from plspines.models import CATALOGUE, boundary_sphere, catalogue_names, named_triangulation, simplex
 from plspines.partitions import discrete, one_vs_rest, single_class, vertex_partition
-from plspines.recognize import euler_characteristic
+from plspines.recognize import boundary_complex, euler_characteristic
 from plspines import spine
 from plspines.spine import (
     dual_spine,
@@ -62,6 +62,14 @@ class TestDualSpine:
         # single class respects the (connected) boundary
         s = dual_spine(disc, single_class(disc))
         assert s.as_complex().is_empty
+
+    @pytest.mark.parametrize("name", catalogue_names())
+    def test_carries_the_boundary(self, name):
+        # consumers read the boundary dual_spine computed for its check
+        t = named_triangulation(name)
+        s = dual_spine(t, single_class(t))
+        assert s.boundary.faces == boundary_complex(t).faces
+        assert s.boundary.is_empty == (name != "D2_triangle")
 
     def test_chain_rule_matches_direct_on_random_cases(self):
         # the closed-form rule must coincide with the literal construction
@@ -240,11 +248,12 @@ class TestVerifySpine:
     ])
     def test_checks_nothing_dual_spine_checked(self, monkeypatch, name, partition):
         # a SpineComplex is a checked spine: verify_spine does not re-check
-        # purity or boundary respect, nor recount the vertices
+        # purity or boundary respect, recount the vertices or recompute the
+        # boundary
         t = named_triangulation(name)
         s = dual_spine(t, partition(t))
         calls = []
-        for fn in ("is_pure", "check_boundary_respect", "vertex_count"):
+        for fn in ("is_pure", "check_boundary_respect", "vertex_count", "boundary_complex"):
             monkeypatch.setattr(spine, fn, lambda *a, fn=fn: calls.append(fn))
         verify_spine(s)
         assert calls == []
