@@ -140,17 +140,17 @@ def _parser(prog: str) -> _Parser:
     parser.add_argument("--budget", type=int, default=100_000,
                         help="Search cap: exhaustive when 2**(vertex count) fits it, "
                         "else the discrete partition. [default: %(default)s]")
-    parser.add_argument("--out", help="Optional output file.")
+    parser.add_argument("--out", help="Output file of gen, subdivide, dual-spine or search.")
     commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
 
-    def add(run, name=None, inputs=False, partition=None):
+    def add(run, name=None, inputs=False, partition=None, writes=False):
         """Subcommand ``name`` (default: run's name) calling ``run(opts)``;
         ``inputs`` gives it --in and --name, and ``partition``, the help's
-        default, also --partition."""
+        default, also --partition.  ``writes``: the command writes --out."""
         doc = " ".join(run.__doc__.split())
-        sp = commands.add_parser(name or run.__name__, help=doc, description=doc,
-                                 allow_abbrev=False)
-        sp.set_defaults(run=run)
+        command = name or run.__name__
+        sp = commands.add_parser(command, help=doc, description=doc, allow_abbrev=False)
+        sp.set_defaults(run=run, command=command, writes=writes)
         if inputs or partition:
             sp.add_argument("--in", dest="in_path", metavar="PATH")
             sp.add_argument("--name")
@@ -159,14 +159,14 @@ def _parser(prog: str) -> _Parser:
         return sp
 
     piped = "the piped one"
-    add(gen).add_argument("--name", required=True, help="Catalogue name.")
-    sp = add(subdivide)
+    add(gen, writes=True).add_argument("--name", required=True, help="Catalogue name.")
+    sp = add(subdivide, writes=True)
     sp.add_argument("--in", dest="in_path", metavar="PATH")
     sp.add_argument("--times", type=int, default=1, help="[default: %(default)s]")
-    add(dual_spine_cmd, "dual-spine", partition=piped)
+    add(dual_spine_cmd, "dual-spine", partition=piped, writes=True)
     add(verify_spine_cmd, "verify-spine", partition=piped)
     add(strata, partition=piped)
-    add(search, inputs=True).add_argument(
+    add(search, inputs=True, writes=True).add_argument(
         "--exhaustive", action="store_true", help="Require a proven-exhaustive search.")
     add(nerve, partition=piped)
     add(homology, inputs=True).add_argument("--k", type=int, help="Single homology degree.")
@@ -184,6 +184,8 @@ def main(args: list[str] | None = None, prog_name: str = "plspines") -> None:
     try:
         if opts.budget < 0:
             raise ValueError(f"--budget must be at least 0, got {opts.budget}")
+        if opts.out is not None and not opts.writes:
+            raise ValueError(f"{opts.command} writes no file: --out does not apply")
         opts.run(opts)
     except InvariantViolation as e:
         _fail(str(e), EXIT_BUG)
@@ -237,7 +239,8 @@ def dual_spine_cmd(opts):
 
 def verify_spine_cmd(opts):
     """Certify the spine: each complement region is a ball, or a collar on
-    the boundary, decided on its class's span where the span can."""
+    the boundary, decided on its class's span; only a stuck span off the
+    boundary is decided on its region in T''."""
     t, p = _pair(opts)
     cert = verify_spine(dual_spine(t, p), seed=opts.seed)
     _echo(f"certificate: {cert.certificate}")

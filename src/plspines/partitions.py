@@ -49,9 +49,14 @@ class VertexPartition:
 
 def vertex_partition(base: Complex, classes: Iterable[Iterable[str]]) -> VertexPartition:
     """Validate and canonicalize a partition of the base's vertices."""
-    cls = [frozenset(c) for c in classes]
+    listed = [list(c) for c in classes]
+    cls = [frozenset(c) for c in listed]
     if any(not c for c in cls):
         raise ValueError("empty partition class")
+    for c, members in zip(cls, listed):
+        if len(c) != len(members):
+            twice = sorted(v for v in c if members.count(v) > 1)
+            raise ValueError(f"vertices listed twice in one class: {twice[:3]}")
     seen: set[str] = set()
     for c in cls:
         if seen & c:

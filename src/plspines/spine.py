@@ -16,8 +16,11 @@ barycenter, classified by ``strata``.
 A dual spine is a spine when each complement region is a ball (a collar
 where it meets the boundary).  A region component is a regular
 neighbourhood of a span component of its class, and
-``certify_span_component`` certifies it on that span where it can; both
-``verify_spine`` and ``search`` (one span component at a time) go through it.
+``certify_span_component`` certifies it on that span: a component on the
+boundary by collapsing onto its part in the boundary, one off it by
+collapsing to a point.  Only a stuck span off the boundary is taken to
+its region in T''.  Both ``verify_spine`` and ``search`` (one span
+component at a time) go through it.
 """
 
 from __future__ import annotations
@@ -140,12 +143,6 @@ def region_of_class(t: Complex, cls: frozenset[str]) -> Complex:
     return regular_neighborhood(subcomplex_spanned(t, cls), t)
 
 
-def boundary_in_t2(bd: Complex) -> Complex:
-    """``bd``, the boundary of t, re-expressed in T'' (its second derived
-    subdivision); empty when t is closed."""
-    return derived(derived(bd).complex).complex
-
-
 # -- spine certificate -------------------------------------------------------
 
 
@@ -169,13 +166,9 @@ class SpineCertificate:
         return self.certificate.startswith("yes")
 
 
-def certify_region_component(
-    comp: Complex, boundary2: Complex, seed: int = 0
-) -> tuple[str, bool, int]:
-    """Certify one region component: ``(kind, ok, faces)``, kind ball or collar."""
-    target = comp.faces & boundary2.faces
-    if target:
-        return "collar", collapses_onto(comp, Complex(target), seed=seed), len(comp.faces)
+def certify_region_component(comp: Complex, seed: int = 0) -> tuple[str, bool, int]:
+    """Certify one region component in T'' off the boundary: ``(kind, ok,
+    faces)``, a ball when it collapses to a point."""
     return "ball", collapses_to_point(comp, seed=seed), len(comp.faces)
 
 
@@ -184,27 +177,40 @@ def certify_span_component(
 ) -> tuple[str, bool, int]:
     """Certify the region of the span component ``comp``: ``(kind, ok, faces)``.
 
-    Off the boundary of t, the region deformation-retracts onto ``comp``:
-    an Euler characteristic other than 1 is an exact "no", and a
-    collapsible ``comp`` makes it a ball (Whitehead; Rourke-Sanderson,
-    Cor. 3.27); ``faces`` then counts ``comp``.  A stuck span is not an
-    exact "no" in dimension 3 (the dunce hat has a 3-ball as a regular
-    neighbourhood), so it falls back, as a component on the boundary does,
-    to ``certify_region_component`` on its region in T''.
+    On the boundary of t, let L be the part of K = ``comp`` in it.  L is
+    a union of whole boundary components: one that meets K has every
+    vertex in K's class (``check_boundary_respect``), so it lies in the
+    span, which is full, and being connected it lies in K.  The region
+    is a regular neighbourhood of K in t, and it meets the boundary in a
+    regular neighbourhood of L there.  If K collapses onto L, the region
+    is a regular neighbourhood of L as well (Rourke-Sanderson, Cor. 3.30),
+    and a regular neighbourhood of a union of boundary components is a
+    collar on them (ibid., Ch. 3).  The region retracts onto K and a collar
+    onto L, so Euler characteristics of K and L that differ are an exact
+    "no", which ``collapses_onto`` applies first.
+
+    Off the boundary, the region deformation-retracts onto K: an Euler
+    characteristic other than 1 is an exact "no", and a collapsible K
+    makes it a ball (Whitehead; Rourke-Sanderson, Cor. 3.27).  A stuck span
+    is not an exact "no" in dimension 3 (the dunce hat has a 3-ball as a
+    regular neighbourhood), so it falls back to
+    ``certify_region_component`` on its region in T''.  ``faces`` counts
+    K, or that region when the span fell back.
     """
-    if comp.faces.isdisjoint(boundary.faces):
-        if euler_characteristic(comp) != 1:
-            return "ball", False, len(comp.faces)
-        if collapses_to_point(comp, seed=seed):
-            return "ball", True, len(comp.faces)
-    region = region_of_class(t, frozenset(comp.vertices))
-    return certify_region_component(region, boundary_in_t2(boundary), seed=seed)
+    target = comp.faces & boundary.faces
+    if target:
+        return "collar", collapses_onto(comp, Complex(target), seed=seed), len(comp.faces)
+    if euler_characteristic(comp) != 1:
+        return "ball", False, len(comp.faces)
+    if collapses_to_point(comp, seed=seed):
+        return "ball", True, len(comp.faces)
+    return certify_region_component(region_of_class(t, frozenset(comp.vertices)), seed=seed)
 
 
 def verify_spine(s: SpineComplex, seed: int = 0) -> SpineCertificate:
     """Certify the spine by its complement: one ``certify_span_component``
-    report per class and span component.  Balls are sound for dimension
-    at most 3 ("yes (heuristic)" above); a failed collapse yields
+    report per class and span component.  Balls and collars are sound for
+    dimension at most 3 ("yes (heuristic)" above); a failed collapse yields
     "unknown", never "not a spine".  Closed input must pass
     ``is_closed_manifold`` too: in a pseudomanifold a collapsible region
     need not be a ball.  Input with a boundary gets no manifold check.

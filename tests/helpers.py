@@ -41,6 +41,7 @@ from plspines.core import (
     subcomplex_spanned,
 )
 from plspines.cli import main
+from plspines.collapse import collapses_onto
 from plspines.drill import DrillContext, drill
 from plspines.homology import (
     GF2Matrix,
@@ -209,6 +210,51 @@ def region_certified(t: Complex, cls) -> bool:
         collapses_to_point(comp)
         for comp in connected_components(region_of_class(t, frozenset(cls)))
     )
+
+
+def collar_certified_on_region(t: Complex, comp: Complex, seed: int = 0) -> bool:
+    """The T'' collar certificate of a span component of t on its boundary:
+    the region of ``comp`` collapses onto its faces in the boundary of t,
+    re-derived twice."""
+    region = region_of_class(t, frozenset(comp.vertices))
+    bd2 = derived(derived(boundary_complex(t)).complex).complex
+    return collapses_onto(region, Complex(region.faces & bd2.faces), seed=seed)
+
+
+def boundary_respecting_partition(t: Complex, rng: random.Random) -> VertexPartition:
+    """A random partition of t's vertices that puts each boundary component
+    in one class: boundary components and interior vertices are dealt to
+    a random number of classes."""
+    units = [comp.vertices for comp in connected_components(boundary_complex(t))]
+    on_boundary = {v for unit in units for v in unit}
+    units += [(v,) for v in t.vertices if v not in on_boundary]
+    k = rng.randint(1, len(units))
+    blocks: list[list[str]] = [[] for _ in range(k)]
+    for unit in units:
+        blocks[rng.randrange(k)].extend(unit)
+    return vertex_partition(t, [b for b in blocks if b])
+
+
+def product(a: Complex, b: Complex) -> Complex:
+    """The staircase triangulation of a x b, vertex (u, w) labelled
+    ``u*w``: for each pair of facets, one simplex per monotone lattice path
+    through their sorted vertices.  Labels are sorted the same way in every
+    facet, so the simplexes of neighbouring facet pairs fit together."""
+    facets = []
+    for s in a.facets:
+        for r in b.facets:
+            p, q = len(s) - 1, len(r) - 1
+            for ups in itertools.combinations(range(p + q), q):
+                i = j = 0
+                facet = [f"{s[0]}*{r[0]}"]
+                for step in range(p + q):
+                    if step in ups:
+                        j += 1
+                    else:
+                        i += 1
+                    facet.append(f"{s[i]}*{r[j]}")
+                facets.append(facet)
+    return from_facets(facets)
 
 
 def rainbow_top_chain_count(t: Complex, poset) -> int:

@@ -269,6 +269,24 @@ class TestExitCodes:
         assert "Traceback" not in out.stderr
         assert out.stderr.startswith("error:")
 
+    @pytest.mark.parametrize("args", [
+        ["verify-spine", "--name", "S2_tetra", "--partition", "discrete"],
+        ["strata", "--name", "S2_tetra", "--partition", "discrete"],
+        ["nerve", "--name", "S2_tetra", "--partition", "discrete"],
+        ["homology", "--name", "S2_tetra"],
+        ["normal-discs", "--n", "2"],
+        ["drill", "--name", "S2_tetra", "--partition", "discrete"],
+        ["report", "--name", "S2_tetra"],
+    ], ids=lambda args: args[0])
+    def test_out_on_a_command_that_writes_nothing_exits_1(self, tmp_path, args):
+        # --out would be silently ignored: refused before the command runs
+        path = tmp_path / "x.txt"
+        code, out, err = run_cli(["--out", str(path), *args])
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {args[0]} writes no file: --out does not apply\n"
+        assert not path.exists()
+
     @pytest.mark.parametrize("cmd", sorted(PAIR_COMMANDS))
     def test_bad_partition_spec_exits_1(self, cmd):
         code, _, err = run_cli([cmd, "--name", "S2_tetra", "--partition", "a,zz"])

@@ -11,10 +11,10 @@ from plspines.collapse import (
     collapses_to_point,
     greedy_collapse,
 )
-from plspines.core import connected_components, derived, from_facets
+from plspines.core import connected_components, derived, from_facets, subcomplex_spanned
 from plspines.models import named_triangulation, simplex
 from plspines.partitions import single_class
-from plspines.recognize import boundary_complex, euler_characteristic
+from plspines.recognize import euler_characteristic
 from plspines.search import search_min_vertices
 from helpers import random_complex, regions, validate_complex
 
@@ -150,13 +150,6 @@ def greedy_runs(monkeypatch):
     return runs
 
 
-def _single_class_component(name):
-    t = named_triangulation(name)
-    ((_, mv),) = regions(spine.dual_spine(t, single_class(t)))
-    (comp,) = connected_components(mv)
-    return comp, spine.boundary_in_t2(boundary_complex(t))
-
-
 def test_torus_search_certifies_with_at_most_one_run_each(greedy_runs, monkeypatch):
     certify_calls = []
     for name in ("collapses_to_point", "collapses_onto"):
@@ -168,15 +161,19 @@ def test_torus_search_certifies_with_at_most_one_run_each(greedy_runs, monkeypat
 
 
 def test_disc_collar_rejected_by_euler_characteristic(greedy_runs):
-    # the whole disc onto its boundary circle: chi 1 against chi 0
-    comp, bd2 = _single_class_component("D2_triangle")
-    assert spine.certify_region_component(comp, bd2) == ("collar", False, len(comp.faces))
+    # the triangle onto its boundary circle: chi 1 against chi 0, on the span
+    t = named_triangulation("D2_triangle")
+    s = spine.dual_spine(t, single_class(t))
+    (comp,) = connected_components(subcomplex_spanned(t, t.vertices))
+    assert spine.certify_span_component(t, comp, s.boundary) == ("collar", False, 7)
     assert greedy_runs == []
 
 
 def test_closed_projective_plane_rejected_after_one_run(greedy_runs):
     # chi 1, but a closed surface has no free face
-    comp, bd2 = _single_class_component("RP2_6")
+    t = named_triangulation("RP2_6")
+    ((_, mv),) = regions(spine.dual_spine(t, single_class(t)))
+    (comp,) = connected_components(mv)
     assert euler_characteristic(comp) == 1
-    assert spine.certify_region_component(comp, bd2) == ("ball", False, len(comp.faces))
+    assert spine.certify_region_component(comp) == ("ball", False, len(comp.faces))
     assert len(greedy_runs) == 1

@@ -3,6 +3,7 @@ import pytest
 from plspines import io as pio
 from plspines.core import from_facets
 from plspines.partitions import discrete, one_vs_rest, vertex_partition
+from helpers import run_cli
 
 
 class TestPartitions:
@@ -13,6 +14,19 @@ class TestPartitions:
             vertex_partition(sphere2, [["v0", "v1"]])
         with pytest.raises(ValueError):
             vertex_partition(sphere2, [list(sphere2.vertices), []])
+
+    def test_vertex_listed_twice_in_a_class(self, sphere2, tmp_path):
+        # a repeat would vanish in the class's set and certify as given
+        with pytest.raises(ValueError, match=r"listed twice in one class: \['v0'\]"):
+            vertex_partition(sphere2, [["v0", "v0", "v1"], ["v2", "v3"]])
+        with pytest.raises(ValueError, match="listed twice"):
+            pio.parse_partition("v0 v1\nv2 v3 v2\n", sphere2)
+        path = tmp_path / "p.txt"
+        path.write_text("a a\nb c d\n")
+        for spec in ("a,a|b,c,d", str(path)):
+            code, out, err = run_cli(["verify-spine", "--name", "S2_tetra", "--partition", spec])
+            assert (code, out) == (1, "")
+            assert err == "error: vertices listed twice in one class: ['a']\n"
 
     def test_canonical_order(self, sphere2):
         p = vertex_partition(sphere2, [["v2", "v3"], ["v1", "v0"]])

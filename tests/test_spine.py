@@ -4,7 +4,15 @@ import random
 import pytest
 
 from plspines.collapse import collapses_to_point
-from plspines.core import derived, from_facets, join, suspension
+from plspines.core import (
+    cone,
+    connected_components,
+    derived,
+    from_facets,
+    join,
+    subcomplex_spanned,
+    suspension,
+)
 from plspines.models import CATALOGUE, boundary_sphere, catalogue_names, named_triangulation, simplex
 from plspines.partitions import discrete, one_vs_rest, single_class, vertex_partition
 from plspines.recognize import boundary_complex, euler_characteristic
@@ -15,8 +23,12 @@ from plspines.spine import (
     verify_spine,
 )
 from helpers import (
+    boundary_respecting_partition,
     certify_class,
+    collar_certified_on_region,
     dual_cells_direct,
+    is_closed_surface,
+    product,
     random_partition_blocks,
     random_pure_complex,
     region_certified,
@@ -203,12 +215,12 @@ class TestVerifySpine:
         assert cert.certificate == "yes"
         kinds = sorted(r.kind for r in cert.region_reports)
         assert kinds == ["ball", "collar"]
-        # the collar is certified on its region, the inner point on its span
+        # both are certified on their spans: the boundary circle (3 edges,
+        # 3 vertices) is its own collar's target, the inner point a ball
         (collar,) = [r for r in cert.region_reports if r.kind == "collar"]
         (ball,) = [r for r in cert.region_reports if r.kind == "ball"]
-        cls, region = regions(s)[collar.class_index]
-        assert cls == frozenset("abc")
-        assert collar.faces == len(region.faces)
+        assert s.partition.classes[collar.class_index] == frozenset("abc")
+        assert collar.faces == 6
         assert ball.faces == 1
 
     @pytest.mark.parametrize("build", [
@@ -259,6 +271,49 @@ class TestVerifySpine:
         assert calls == []
 
 
+INTERVAL = from_facets([["p0", "p1"], ["p1", "p2"]])
+
+
+def _annulus():
+    outer, inner = "abc", "xyz"
+    return from_facets(
+        facet
+        for i, j in ((0, 1), (1, 2), (2, 0))
+        for facet in ([outer[i], outer[j], inner[i]], [outer[j], inner[i], inner[j]])
+    )
+
+
+def _cone_c5():
+    return cone(from_facets([f"c{i}", f"c{(i + 1) % 5}"] for i in range(5)))
+
+
+#: manifolds with boundary, small enough for the T'' collar oracle; the
+#: first five have at most two boundary-respecting partitions, so the
+#: derived surfaces, with interior vertices, give the oracle more cases
+BOUNDED = {
+    "D2_triangle": lambda: named_triangulation("D2_triangle"),
+    "cone_C5": _cone_c5,
+    "annulus": _annulus,
+    "cone_bd_tetra": lambda: cone(boundary_sphere(2)),
+    "D2xI": lambda: product(named_triangulation("D2_triangle"), INTERVAL),
+    "D2_triangle''": lambda: derived(derived(named_triangulation("D2_triangle")).complex).complex,
+    "cone_C5'": lambda: derived(_cone_c5()).complex,
+    "annulus'": lambda: derived(_annulus()).complex,
+}
+
+
+def _boundary_span_components(t, partitions=20, seed=0):
+    """``(spine, span component)`` for every span component on the boundary
+    of t, over distinct seeded boundary-respecting partitions."""
+    rng = random.Random(seed)
+    for p in dict.fromkeys(boundary_respecting_partition(t, rng) for _ in range(partitions)):
+        s = dual_spine(t, p)
+        for cls in s.partition.classes:
+            for comp in connected_components(subcomplex_spanned(t, cls)):
+                if not comp.faces.isdisjoint(s.boundary.faces):
+                    yield s, comp
+
+
 def _all_classes(t):
     verts = t.vertices
     for r in range(1, len(verts) + 1):
@@ -296,3 +351,60 @@ class TestCertifyClass:
         monkeypatch.setattr(spine, "region_of_class", lambda *a: built.append(a) or orig(*a))
         assert not certify_class(t, frozenset(t.vertices))
         assert built == [(t, frozenset(t.vertices))]
+
+
+class TestCollarOnSpan:
+    def test_products_with_an_interval(self):
+        # the staircase product is a manifold with the expected boundary
+        for base, spheres in ((named_triangulation("D2_triangle"), 1), (boundary_sphere(2), 2)):
+            t = product(base, INTERVAL)
+            bd = connected_components(boundary_complex(t))
+            assert t.dim == 3 and len(bd) == spheres
+            assert all(is_closed_surface(c) and euler_characteristic(c) == 2 for c in bd)
+
+    @pytest.mark.parametrize("name,comps,yes", [
+        ("D2_triangle", 1, 0),
+        ("cone_C5", 2, 1),
+        ("annulus", 3, 2),
+        ("cone_bd_tetra", 2, 1),
+        ("D2xI", 1, 0),
+        ("D2_triangle''", 20, 17),
+        ("cone_C5'", 18, 13),
+        ("annulus'", 37, 34),
+    ])
+    def test_yes_whenever_the_region_collapses_onto_the_boundary(
+        self, monkeypatch, name, comps, yes
+    ):
+        # the T'' collar route stays the oracle: the span says yes whenever
+        # it does, and builds no region
+        t = BOUNDED[name]()
+        built = []
+        monkeypatch.setattr(spine, "region_of_class", lambda *a: built.append(a))
+        verdicts = []
+        for s, comp in _boundary_span_components(t):
+            kind, ok, faces = spine.certify_span_component(t, comp, s.boundary)
+            assert (kind, faces) == ("collar", len(comp.faces))
+            assert ok or not collar_certified_on_region(t, comp), (name, s.partition)
+            verdicts.append(ok)
+        assert (len(verdicts), sum(verdicts)) == (comps, yes)
+        assert built == []
+
+    def test_sphere_times_interval_on_the_span(self, monkeypatch):
+        # S^2 x I: its T'' route takes seconds per component, so the span only
+        t = product(boundary_sphere(2), INTERVAL)
+        built = []
+        monkeypatch.setattr(spine, "region_of_class", lambda *a: built.append(a))
+        verdicts = [
+            spine.certify_span_component(t, comp, s.boundary)[1]
+            for s, comp in _boundary_span_components(t)
+        ]
+        assert (len(verdicts), sum(verdicts)) == (30, 26)
+        # two layers collapse onto the bottom sphere: a collar; the whole
+        # product does not collapse onto both spheres (chi 2 against 4)
+        lower = [v for v in t.vertices if not v.endswith("p2")]
+        upper = [v for v in t.vertices if v.endswith("p2")]
+        for blocks, certificate in (([lower, upper], "yes"), ([t.vertices], "unknown")):
+            cert = verify_spine(dual_spine(t, vertex_partition(t, blocks)))
+            assert cert.certificate == certificate
+            assert {r.kind for r in cert.region_reports} == {"collar"}
+        assert built == []
